@@ -1,10 +1,10 @@
-//! Criterion bench: incremental session delta-apply vs. full engine recompute under
-//! the synthetic churn workload — the cost argument behind `EngineSession`.
+//! Criterion bench: incremental session delta-apply vs. full recompute under the
+//! synthetic churn workload — the cost argument behind `EngineSession`.
 //!
 //! For each network size, one epoch of churn events is drawn once; the
-//! `full_recompute` series replays the events onto a catalog and re-runs the whole
-//! batch pipeline (cycle and parallel-path enumeration, model build, cold
-//! inference), the `delta_apply` series applies the identical events to a pre-built
+//! `full_recompute` series replays the events onto a catalog and builds a fresh
+//! session over it (topology mirror, cycle and parallel-path enumeration, model
+//! build, cold inference), the `delta_apply` series applies the identical events to a pre-built
 //! session (targeted per-edge evidence maintenance, warm-started change-driven
 //! inference). The `light` rows are the paper's Section 4.4 regime — a handful of
 //! localized changes per epoch — where incremental maintenance pays most; the
@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdms_core::{
-    apply_event, AnalysisConfig, EmbeddedConfig, Engine, EngineConfig, EngineSession, NetworkEvent,
+    apply_event, AnalysisConfig, EmbeddedConfig, Engine, EngineBuilder, EngineSession, NetworkEvent,
 };
 use pdms_graph::GeneratorConfig;
 use pdms_schema::Catalog;
@@ -35,13 +35,11 @@ fn embedded_config() -> EmbeddedConfig {
     }
 }
 
-fn engine_config() -> EngineConfig {
-    EngineConfig {
-        analysis: analysis_config(),
-        embedded: embedded_config(),
-        delta: Some(0.1),
-        ..Default::default()
-    }
+fn builder() -> EngineBuilder {
+    Engine::builder()
+        .analysis(analysis_config())
+        .embedded(embedded_config())
+        .delta(0.1)
 }
 
 fn network(peers: usize) -> SyntheticNetwork {
@@ -92,8 +90,7 @@ fn bench_pair(
                 for event in events {
                     apply_event(&mut catalog, event);
                 }
-                let mut engine = Engine::new(catalog, engine_config());
-                engine.run()
+                builder().build(catalog)
             })
         },
     );
@@ -117,11 +114,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
     group.sample_size(20);
     for &peers in &[16usize, 24, 32] {
         let base = network(peers);
-        let session = Engine::builder()
-            .analysis(analysis_config())
-            .embedded(embedded_config())
-            .delta(0.1)
-            .build(base.catalog.clone());
+        let session = builder().build(base.catalog.clone());
         let light = light_churn(&base.catalog, 11 + peers as u64);
         bench_pair(
             &mut group,

@@ -1,10 +1,9 @@
 //! Pluggable inference backends behind one object-safe trait.
 //!
-//! The engine used to hard-code its three inference strategies in a `match`; every new
-//! strategy (a sharded solver, an async remote service, an experiment-specific
-//! approximation) meant editing the engine itself. [`InferenceBackend`] inverts that:
-//! the engine and the incremental session only know the trait, and the three built-in
-//! strategies — [`EmbeddedBackend`] (the paper's decentralized message passing),
+//! Every inference strategy (a sharded solver, an async remote service, an
+//! experiment-specific approximation) plugs in without editing the session: an
+//! [`crate::session::EngineSession`] only knows the [`InferenceBackend`] trait, and
+//! the three built-in strategies — [`EmbeddedBackend`] (the paper's decentralized message passing),
 //! [`ExactBackend`] (the centralized gold standard), [`VotingBackend`] (the earlier
 //! cycle-voting heuristic) — are ordinary implementations that callers can swap,
 //! wrap, or replace via `Arc<dyn InferenceBackend>`.
@@ -21,7 +20,6 @@ use crate::embedded::{EmbeddedConfig, EmbeddedMessagePassing};
 use crate::local_graph::{MappingModel, VariableKey};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Everything a backend needs to estimate mapping-quality posteriors.
 #[derive(Debug)]
@@ -153,26 +151,13 @@ impl InferenceBackend for VotingBackend {
     }
 }
 
-/// The built-in backend named by a [`crate::engine::InferenceMethod`] — the bridge
-/// that keeps the deprecated enum-based configuration working on top of the trait.
-pub fn backend_for_method(
-    method: crate::engine::InferenceMethod,
-    embedded: &EmbeddedConfig,
-) -> Arc<dyn InferenceBackend> {
-    use crate::engine::InferenceMethod;
-    match method {
-        InferenceMethod::Embedded => Arc::new(EmbeddedBackend::new(embedded.clone())),
-        InferenceMethod::Exact => Arc::new(ExactBackend),
-        InferenceMethod::Voting => Arc::new(VotingBackend),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cycle_analysis::AnalysisConfig;
     use crate::local_graph::Granularity;
     use pdms_schema::{AttributeId, Catalog, PeerId};
+    use std::sync::Arc;
 
     fn faulty_ring() -> Catalog {
         let mut cat = Catalog::new();

@@ -33,8 +33,8 @@ pub fn estimate_delta_for_sizes(sizes: &[usize]) -> f64 {
 }
 
 /// Estimates Δ from the schema sizes of every peer of a catalog ([`DEFAULT_DELTA`]
-/// for an empty catalog) — the shared fallback of the batch engine and the session
-/// when no explicit Δ is configured.
+/// for an empty catalog) — the fallback of the sessions when no explicit Δ is
+/// configured.
 pub fn estimate_delta_for_catalog(catalog: &pdms_schema::Catalog) -> f64 {
     let sizes: Vec<usize> = catalog
         .peers()

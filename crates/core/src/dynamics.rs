@@ -7,17 +7,16 @@
 //! the "tradeoff between the efforts required to maintain the probabilistic network in
 //! a coherent state and the potential gain in terms of relevance of results" as an open
 //! question. This module provides the machinery to study that trade-off: a
-//! [`DynamicPdms`] owns an evolving catalog, applies [`NetworkEvent`]s, re-runs the
-//! inference engine epoch by epoch with prior carry-over, and records per-epoch
-//! detection quality, posterior drift, and maintenance cost.
+//! [`DynamicPdms`] owns an evolving catalog, applies [`NetworkEvent`]s, builds one
+//! cold [`crate::session::EngineSession`] per epoch with prior carry-over, and
+//! records per-epoch detection quality, posterior drift, and maintenance cost. The
+//! incremental sessions consume the same events through [`apply_event_traced`].
 
-use crate::cycle_analysis::CycleAnalysis;
-use crate::engine::{Engine, EngineConfig};
-use crate::local_graph::MappingModel;
 use crate::metrics::EvaluationReport;
 use crate::overhead::communication_overhead;
 use crate::posterior::PosteriorTable;
 use crate::priors::PriorStore;
+use crate::session::EngineBuilder;
 use pdms_schema::{AttributeId, Catalog, MappingId, PeerId};
 
 /// One change applied to the mapping network between two epochs.
@@ -115,9 +114,11 @@ impl EventEffect {
     }
 }
 
-/// Applies one event to a catalog, reporting what changed. Returns `None` when the
-/// event had no effect (repair without ground truth, drop of a missing
-/// correspondence, removal of an already-removed mapping, empty new mapping).
+/// Applies one event to a catalog, reporting what changed. Returns `None`, leaving
+/// the catalog untouched, when the event had no effect (repair without ground truth,
+/// drop of a missing correspondence, removal of an already-removed mapping, empty
+/// new mapping) or names something the catalog does not hold (an unknown peer or
+/// mapping id, an attribute outside its schema, a duplicate attribute name).
 ///
 /// This is the single source of truth for event semantics, shared by the epoch-based
 /// [`DynamicPdms`] and the incremental [`crate::session::EngineSession`]. Callers
@@ -136,6 +137,9 @@ pub fn apply_event_traced(
     catalog: &mut Catalog,
     event: &NetworkEvent,
 ) -> Option<(EventEffect, Vec<MappingId>)> {
+    if !is_well_formed(catalog, event) {
+        return None;
+    }
     if let NetworkEvent::RemovePeer { peer } = event {
         let incident = incident_live_mappings(catalog, *peer);
         if incident.is_empty() {
@@ -178,18 +182,16 @@ pub fn apply_event_traced(
             });
             Some(EventEffect::MappingAdded(id))
         }
-        NetworkEvent::RemoveMapping { mapping } => catalog
-            .remove_mapping(*mapping)
-            .then_some(EventEffect::MappingRemoved(*mapping)),
+        NetworkEvent::RemoveMapping { mapping } => {
+            catalog.remove_mapping(*mapping);
+            Some(EventEffect::MappingRemoved(*mapping))
+        }
         NetworkEvent::RemovePeer { .. } => unreachable!("handled above"),
         NetworkEvent::Corrupt {
             mapping,
             attribute,
             wrong_target,
         } => {
-            if catalog.is_mapping_removed(*mapping) {
-                return None;
-            }
             let current = catalog
                 .mapping(*mapping)
                 .correspondences()
@@ -207,9 +209,6 @@ pub fn apply_event_traced(
             Some(EventEffect::MappingChanged(*mapping))
         }
         NetworkEvent::Repair { mapping, attribute } => {
-            if catalog.is_mapping_removed(*mapping) {
-                return None;
-            }
             let expected = catalog
                 .mapping(*mapping)
                 .correspondences()
@@ -227,17 +226,81 @@ pub fn apply_event_traced(
                 None => None,
             }
         }
-        NetworkEvent::Drop { mapping, attribute } => {
-            if catalog.is_mapping_removed(*mapping) {
-                return None;
-            }
-            catalog
-                .mapping_mut(*mapping)
-                .remove_correspondence(*attribute)
-                .then_some(EventEffect::MappingChanged(*mapping))
-        }
+        NetworkEvent::Drop { mapping, attribute } => catalog
+            .mapping_mut(*mapping)
+            .remove_correspondence(*attribute)
+            .then_some(EventEffect::MappingChanged(*mapping)),
     };
     Some((effect?, Vec::new()))
+}
+
+/// Whether an event names only what the catalog holds: known peers, live mappings,
+/// attributes inside the schema they belong to, and distinct attribute names for a
+/// new peer. The one validity check behind [`apply_event_traced`].
+fn is_well_formed(catalog: &Catalog, event: &NetworkEvent) -> bool {
+    let live = |mapping: &MappingId| {
+        mapping.0 < catalog.mapping_slot_count() && !catalog.is_mapping_removed(*mapping)
+    };
+    let in_schema =
+        |peer: PeerId, attribute: &AttributeId| catalog.peer_schema(peer).contains(*attribute);
+    match event {
+        NetworkEvent::AddPeer { attributes, .. } => has_distinct_names(attributes),
+        NetworkEvent::AddMapping {
+            source,
+            target,
+            correspondences,
+        } => correspondences_fit(
+            schema_size(catalog, *source),
+            schema_size(catalog, *target),
+            correspondences,
+        ),
+        NetworkEvent::RemoveMapping { mapping } => live(mapping),
+        NetworkEvent::RemovePeer { peer } => peer.0 < catalog.peer_count(),
+        NetworkEvent::Corrupt {
+            mapping,
+            attribute,
+            wrong_target,
+        } => {
+            live(mapping) && {
+                let (source, target) = catalog.mapping_endpoints(*mapping);
+                in_schema(source, attribute) && in_schema(target, wrong_target)
+            }
+        }
+        NetworkEvent::Repair { mapping, attribute } | NetworkEvent::Drop { mapping, attribute } => {
+            live(mapping) && in_schema(catalog.mapping_endpoints(*mapping).0, attribute)
+        }
+    }
+}
+
+/// The attribute count of a known peer's schema (`None` for an unknown peer).
+pub(crate) fn schema_size(catalog: &Catalog, peer: PeerId) -> Option<usize> {
+    (peer.0 < catalog.peer_count()).then(|| catalog.peer_schema(peer).attribute_count())
+}
+
+/// Whether the schema of an [`NetworkEvent::AddPeer`] names every attribute once.
+pub(crate) fn has_distinct_names(attributes: &[String]) -> bool {
+    let mut seen = std::collections::BTreeSet::new();
+    attributes.iter().all(|name| seen.insert(name))
+}
+
+/// Whether the correspondences of an [`NetworkEvent::AddMapping`] fit between peers
+/// with schemas of these sizes (`None` = unknown peer): each source attribute lies in
+/// the source schema, each proposed and expected target in the target schema.
+pub(crate) fn correspondences_fit(
+    source_size: Option<usize>,
+    target_size: Option<usize>,
+    correspondences: &[(AttributeId, AttributeId, Option<AttributeId>)],
+) -> bool {
+    let (Some(source_size), Some(target_size)) = (source_size, target_size) else {
+        return false;
+    };
+    correspondences
+        .iter()
+        .all(|(source_attr, target_attr, expected)| {
+            source_attr.0 < source_size
+                && target_attr.0 < target_size
+                && expected.is_none_or(|e| e.0 < target_size)
+        })
 }
 
 /// The live mappings departing from or arriving at a peer, ascending and
@@ -258,8 +321,9 @@ pub fn incident_live_mappings(catalog: &Catalog, peer: PeerId) -> Vec<MappingId>
 pub struct DynamicsConfig {
     /// Detection threshold θ used for the per-epoch evaluation.
     pub theta: f64,
-    /// Engine configuration used at every epoch.
-    pub engine: EngineConfig,
+    /// Session configuration used at every epoch. Its priors, if set, are replaced
+    /// by the run's accumulated store.
+    pub engine: EngineBuilder,
     /// Whether posteriors are folded back into the priors after each epoch (the
     /// Section 4.4 update). Disabling it gives the memory-less ablation.
     pub update_priors: bool,
@@ -269,7 +333,7 @@ impl Default for DynamicsConfig {
     fn default() -> Self {
         Self {
             theta: 0.5,
-            engine: EngineConfig::default(),
+            engine: EngineBuilder::default(),
             update_priors: true,
         }
     }
@@ -340,50 +404,42 @@ impl DynamicPdms {
     }
 
     /// Applies a batch of events to the catalog, returning how many actually changed
-    /// something (a repair without ground truth or a drop of a missing correspondence
-    /// does not count).
+    /// something (a repair without ground truth, a drop of a missing correspondence
+    /// or a malformed event does not count).
     pub fn apply(&mut self, events: &[NetworkEvent]) -> usize {
-        let mut applied = 0usize;
-        for event in events {
-            if self.apply_one(event) {
-                applied += 1;
-            }
-        }
+        let applied = events
+            .iter()
+            .filter(|event| apply_event(&mut self.catalog, event).is_some())
+            .count();
         self.pending_events += applied;
         applied
     }
 
-    fn apply_one(&mut self, event: &NetworkEvent) -> bool {
-        apply_event(&mut self.catalog, event).is_some()
-    }
-
-    /// Runs one inference epoch over the current catalog: cycle analysis, inference with
+    /// Runs one inference epoch over the current catalog — a cold session build with
     /// the accumulated priors, evaluation at θ, and (optionally) the Section 4.4 prior
     /// update. Returns the epoch report (also appended to [`DynamicPdms::history`]).
     pub fn run_epoch(&mut self) -> &EpochReport {
-        let mut engine = Engine::with_priors(
-            self.catalog.clone(),
-            self.config.engine.clone(),
-            self.priors.clone(),
-        );
-        let report = engine.run();
-        let evaluation = engine.evaluate(&report, self.config.theta);
+        let mut session = self
+            .config
+            .engine
+            .clone()
+            .priors(self.priors.clone())
+            .build(self.catalog.clone());
+        let evaluation = session.evaluate(self.config.theta);
 
         // Maintenance cost of the current evidence structure.
-        let analysis: &CycleAnalysis = &report.analysis;
-        let model: &MappingModel = &report.model;
-        let overhead = communication_overhead(&self.catalog, analysis, model);
+        let overhead = communication_overhead(&self.catalog, session.analysis(), session.model());
 
         // Posterior drift against the previous epoch.
         let drift = match &self.previous_posteriors {
-            Some(previous) => max_drift(previous, &report.posteriors),
+            Some(previous) => previous.max_fine_change(session.posteriors()),
             None => 0.0,
         };
 
         // Prior carry-over.
         if self.config.update_priors {
-            let as_map = report.posteriors.as_variable_map(model);
-            self.priors.update_all(&as_map);
+            session.update_priors();
+            self.priors = session.priors().clone();
         }
 
         let epoch = EpochReport {
@@ -391,30 +447,17 @@ impl DynamicPdms {
             events_applied: self.pending_events,
             mappings: self.catalog.mapping_count(),
             erroneous_mappings: self.catalog.erroneous_mapping_count(),
-            evidence_paths: report.analysis.evidences.len(),
-            rounds: report.rounds,
+            evidence_paths: session.analysis().evidences.len(),
+            rounds: session.rounds(),
             evaluation,
             posterior_drift: drift,
             messages_per_round: overhead.total_messages_per_round,
         };
         self.pending_events = 0;
-        self.previous_posteriors = Some(report.posteriors);
+        self.previous_posteriors = Some(session.posteriors().clone());
         self.history.push(epoch);
         self.history.last().expect("just pushed")
     }
-}
-
-fn max_drift(previous: &PosteriorTable, current: &PosteriorTable) -> f64 {
-    let mut drift = 0.0f64;
-    for (mapping, attribute, p) in current.fine_entries() {
-        let q = previous.probability_ignoring_bottom(mapping, attribute);
-        drift = drift.max((p - q).abs());
-    }
-    for (mapping, attribute, q) in previous.fine_entries() {
-        let p = current.probability_ignoring_bottom(mapping, attribute);
-        drift = drift.max((p - q).abs());
-    }
-    drift
 }
 
 #[cfg(test)]

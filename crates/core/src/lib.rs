@@ -24,7 +24,8 @@
 //!    per-attribute thresholds θ ([`posterior`], [`routing`]);
 //! 7. and evaluates the result against ground truth ([`metrics`]).
 //!
-//! The primary entry point is the incremental **engine session** ([`session`]):
+//! Every run goes through one driver, the incremental **engine session**
+//! ([`session`]), configured by one value, the [`EngineBuilder`]:
 //!
 //! ```
 //! use pdms_core::{Engine, Granularity, NetworkEvent};
@@ -56,9 +57,11 @@
 //! assert!(session.posteriors().mapping_probability(pdms_schema::MappingId(0)) < 0.5);
 //! ```
 //!
-//! The batch [`engine::Engine`] façade remains for one-shot experiments (and as the
-//! reference the incremental path is validated against); [`dynamics::DynamicPdms`]
-//! layers epoch-based evaluation on top. The crate also provides the paper's
+//! A one-shot run is a build followed by reads of the session; the cold
+//! [`EngineSession::rebuild_from_scratch`] is the reference the incremental path is
+//! validated against. [`ShardedSession`] runs one session per weakly connected
+//! component, and [`dynamics::DynamicPdms`] layers epoch-based evaluation on top
+//! (one cold session per epoch). The crate also provides the paper's
 //! operational extensions: adaptive probe-TTL expansion ([`ttl_expansion`]),
 //! communication-overhead accounting ([`overhead`]), and the evolving-network
 //! machinery ([`dynamics`]). `pdms-workloads` produces catalogs to feed it and
@@ -75,7 +78,6 @@ pub mod delta;
 pub mod dynamics;
 pub mod embedded;
 pub mod embedded_baseline;
-pub mod engine;
 pub mod feedback;
 pub mod local_graph;
 pub mod metrics;
@@ -89,8 +91,7 @@ pub mod sharding;
 pub mod ttl_expansion;
 
 pub use backend::{
-    backend_for_method, EmbeddedBackend, ExactBackend, InferenceBackend, InferenceOutcome,
-    InferenceTask, VotingBackend,
+    EmbeddedBackend, ExactBackend, InferenceBackend, InferenceOutcome, InferenceTask, VotingBackend,
 };
 pub use baseline_exact::{
     exact_posterior_table, exact_posteriors, mean_relative_error, relative_errors,
@@ -106,7 +107,6 @@ pub use dynamics::{
 };
 pub use embedded::{run_embedded, EmbeddedConfig, EmbeddedMessagePassing, EmbeddedReport};
 pub use embedded_baseline::{run_embedded_baseline, BaselineMessagePassing};
-pub use engine::{Engine, EngineConfig, EngineReport, InferenceMethod};
 pub use feedback::{Feedback, FeedbackObservation};
 pub use local_graph::{Granularity, MappingModel, ModelEvidence, VariableKey};
 pub use metrics::{precision_recall, DetectionOutcome, EvaluationReport};
@@ -115,7 +115,7 @@ pub use posterior::PosteriorTable;
 pub use priors::PriorStore;
 pub use routing::{route_query, RoutingDecision, RoutingOutcome, RoutingPolicy};
 pub use schedules::{DecentralizedConfig, DecentralizedRun, PeerInferenceLogic, ScheduleKind};
-pub use session::{ApplyReport, EngineBuilder, EngineSession, SessionStats};
+pub use session::{ApplyReport, Engine, EngineBuilder, EngineSession, SessionStats};
 pub use sharding::{BatchReport, Shard, ShardedSession, ShardedStats};
 pub use ttl_expansion::{
     expand_ttl, expand_ttl_with_priors, TtlExpansionConfig, TtlExpansionReport, TtlExpansionStep,

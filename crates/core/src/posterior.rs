@@ -147,6 +147,20 @@ impl PosteriorTable {
         self.default
     }
 
+    /// Largest absolute difference to another table over the union of their
+    /// fine-granularity entries (an entry present in only one table is compared
+    /// against the other table's fallback probability).
+    pub(crate) fn max_fine_change(&self, other: &PosteriorTable) -> f64 {
+        let one_way = |a: &PosteriorTable, b: &PosteriorTable| {
+            a.fine_entries()
+                .map(|(mapping, attribute, p)| {
+                    (p - b.probability_ignoring_bottom(mapping, attribute)).abs()
+                })
+                .fold(0.0f64, f64::max)
+        };
+        one_way(self, other).max(one_way(other, self))
+    }
+
     /// Convenience used by prior updates: extracts the posterior of every model
     /// variable into the key→probability shape that [`crate::priors::PriorStore`] and
     /// [`MappingModel::global_factor_graph`] consume.

@@ -1,13 +1,14 @@
-//! Incremental engine sessions: builder-constructed, delta-driven, batch-routing.
+//! Engine sessions: builder-constructed, delta-driven, batch-routing.
 //!
-//! [`crate::engine::Engine::run`] recomputes everything — cycle enumeration, model
-//! construction, inference from cold — on every call, which cannot scale to evolving
-//! networks where each epoch changes a handful of mappings out of thousands. An
-//! [`EngineSession`] is the incremental counterpart:
+//! The paper's pipeline — evidence discovery, the per-peer model (Section 4.1),
+//! inference (Sections 4.2–4.3), the prior update (Section 4.4) and routing — runs
+//! through one driver, the [`EngineSession`]. Recomputing everything on every change
+//! cannot scale to evolving networks where each epoch changes a handful of mappings
+//! out of thousands, so a session is:
 //!
 //! * **built once** from a catalog via the builder
 //!   (`Engine::builder().granularity(..).backend(..).build(catalog)`), running the
-//!   full pipeline a single time;
+//!   full pipeline a single time — [`EngineBuilder`] is the one configuration value;
 //! * **updated by deltas**: [`EngineSession::apply`] consumes
 //!   [`NetworkEvent`]s (peer/mapping additions, removals, corruptions, repairs — the
 //!   Section 4.4 dynamics) and invalidates only the cycles and parallel paths that
@@ -22,16 +23,36 @@
 //!   against one cached posterior snapshot instead of rebuilding the posterior table
 //!   per query.
 //!
-//! The session always reaches the same posteriors as a from-scratch engine run on the
+//! The session always reaches the same posteriors as a from-scratch build on the
 //! mutated catalog (exactly for one-shot backends, to convergence tolerance for
-//! iterative ones) — `tests/session_incremental.rs` asserts this round trip.
+//! iterative ones) — `tests/session_incremental.rs` asserts this round trip against
+//! [`EngineSession::rebuild_from_scratch`], the one cold path.
+//!
+//! ```
+//! use pdms_core::Engine;
+//! use pdms_schema::{AttributeId, Catalog, MappingId};
+//!
+//! // Two peers, one correct and one faulty mapping between them and back.
+//! let mut catalog = Catalog::new();
+//! let a = catalog.add_peer_with_schema("a", |s| { s.attributes(["x", "y", "z"]); });
+//! let b = catalog.add_peer_with_schema("b", |s| { s.attributes(["x", "y", "z"]); });
+//! catalog.add_mapping(a, b, |m| m.correct(AttributeId(0), AttributeId(0)));
+//! catalog.add_mapping(b, a, |m| m.erroneous(AttributeId(0), AttributeId(1), AttributeId(0)));
+//!
+//! let session = Engine::builder().build(catalog);
+//! // The cycle a -> b -> a returns attribute y instead of x: negative feedback, both
+//! // mappings become suspicious (no other evidence distinguishes them).
+//! assert!(session.posteriors().mapping_probability(MappingId(0)) < 0.5);
+//! ```
 
-use crate::backend::{backend_for_method, InferenceBackend, InferenceTask};
+use crate::backend::{EmbeddedBackend, InferenceBackend, InferenceTask};
 use crate::cycle_analysis::{build_topology, AnalysisConfig, AnalysisDelta, CycleAnalysis};
 use crate::delta::estimate_delta_for_catalog;
-use crate::dynamics::{apply_event_traced, EventEffect, NetworkEvent};
+use crate::dynamics::{
+    apply_event_traced, correspondences_fit, has_distinct_names, schema_size, EventEffect,
+    NetworkEvent,
+};
 use crate::embedded::EmbeddedConfig;
-use crate::engine::{EngineConfig, InferenceMethod};
 use crate::local_graph::{Granularity, MappingModel, VariableKey};
 use crate::metrics::{precision_recall, EvaluationReport};
 use crate::posterior::PosteriorTable;
@@ -42,7 +63,39 @@ use pdms_schema::{Catalog, PeerId, Query};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Builder for [`EngineSession`]s (obtained from [`crate::engine::Engine::builder`]).
+/// The entry point of the API: [`Engine::builder`] starts every session.
+#[derive(Debug, Clone, Copy)]
+pub struct Engine;
+
+impl Engine {
+    /// Starts a builder with the paper's defaults:
+    ///
+    /// ```
+    /// use pdms_core::backend::ExactBackend;
+    /// use pdms_core::local_graph::Granularity;
+    /// use pdms_core::Engine;
+    /// use pdms_schema::{AttributeId, Catalog};
+    ///
+    /// let mut catalog = Catalog::new();
+    /// let a = catalog.add_peer_with_schema("a", |s| { s.attributes(["x", "y", "z"]); });
+    /// let b = catalog.add_peer_with_schema("b", |s| { s.attributes(["x", "y", "z"]); });
+    /// catalog.add_mapping(a, b, |m| m.correct(AttributeId(0), AttributeId(0)));
+    /// catalog.add_mapping(b, a, |m| m.correct(AttributeId(0), AttributeId(0)));
+    ///
+    /// let session = Engine::builder()
+    ///     .granularity(Granularity::Fine)
+    ///     .backend(ExactBackend)
+    ///     .delta(0.1)
+    ///     .build(catalog);
+    /// assert!(session.posteriors().mapping_probability(pdms_schema::MappingId(0)) > 0.5);
+    /// ```
+    pub fn builder() -> EngineBuilder {
+        EngineBuilder::new()
+    }
+}
+
+/// Configuration of a session, and the builder that starts one (obtained from
+/// [`Engine::builder`]). Cheap to clone, so one value can configure many cold builds.
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     analysis: AnalysisConfig,
@@ -50,7 +103,6 @@ pub struct EngineBuilder {
     delta: Option<f64>,
     embedded: EmbeddedConfig,
     backend: Option<Arc<dyn InferenceBackend>>,
-    method: Option<InferenceMethod>,
     priors: Option<PriorStore>,
 }
 
@@ -59,25 +111,6 @@ impl EngineBuilder {
     /// estimated Δ, maximum-entropy priors).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Imports an existing [`EngineConfig`] (the migration path from the deprecated
-    /// batch configuration; see `MIGRATION.md`).
-    ///
-    /// Only an explicit `config.backend` trait object is carried over as-is; the
-    /// `method` + `embedded` pair is re-resolved at [`EngineBuilder::build`] time, so
-    /// further builder calls (`.embedded(..)`, `.method(..)`) compose the same way
-    /// they do on a fresh builder.
-    pub fn from_config(config: EngineConfig) -> Self {
-        Self {
-            analysis: config.analysis,
-            granularity: config.granularity,
-            delta: config.delta,
-            embedded: config.embedded,
-            backend: config.backend,
-            method: Some(config.method),
-            priors: None,
-        }
     }
 
     /// Sets the cycle / parallel-path discovery bounds.
@@ -189,16 +222,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects a built-in backend by the deprecated [`InferenceMethod`] name.
-    ///
-    /// The backend is resolved at [`EngineBuilder::build`] time, so `.method(..)`
-    /// and `.embedded(..)` compose in either order (an explicit `.backend(..)` /
-    /// `.backend_arc(..)` always wins over `method`).
-    pub fn method(mut self, method: InferenceMethod) -> Self {
-        self.method = Some(method);
-        self
-    }
-
     /// Sets the embedded message-passing parameters consumed by the default
     /// [`crate::backend::EmbeddedBackend`] (ignored once an explicit backend is set).
     pub fn embedded(mut self, embedded: EmbeddedConfig) -> Self {
@@ -216,9 +239,7 @@ impl EngineBuilder {
     /// Builds the session: runs the full pipeline once over `catalog` and caches
     /// analysis, model and posteriors for incremental maintenance.
     pub fn build(self, catalog: Catalog) -> EngineSession {
-        let backend = self
-            .backend
-            .unwrap_or_else(|| backend_for_method(self.method.unwrap_or_default(), &self.embedded));
+        let backend = self.resolve_backend();
         let mut session = EngineSession {
             catalog,
             analysis_config: self.analysis,
@@ -249,13 +270,23 @@ impl EngineBuilder {
         crate::sharding::ShardedSession::build(self, catalog)
     }
 
+    /// The cycle / parallel-path discovery bounds set so far.
+    pub(crate) fn analysis_config(&self) -> &AnalysisConfig {
+        &self.analysis
+    }
+
+    /// The backend a build uses: the one set explicitly, else the embedded message
+    /// passing over the configured [`EmbeddedConfig`].
+    fn resolve_backend(&self) -> Arc<dyn InferenceBackend> {
+        self.backend
+            .clone()
+            .unwrap_or_else(|| Arc::new(EmbeddedBackend::new(self.embedded.clone())))
+    }
+
     /// The accumulated analysis configuration (consumed by
     /// [`crate::sharding::ShardedSession::build`]).
     pub(crate) fn into_parts(self) -> ShardSeedParts {
-        let backend = self
-            .backend
-            .clone()
-            .unwrap_or_else(|| backend_for_method(self.method.unwrap_or_default(), &self.embedded));
+        let backend = self.resolve_backend();
         ShardSeedParts {
             analysis: self.analysis,
             granularity: self.granularity,
@@ -298,22 +329,39 @@ pub(crate) struct SplicedParts {
 /// [`Catalog::mapping_slot_count`], so batch authors can know them), or a
 /// [`NetworkEvent::RemovePeer`] covering one of its endpoints. Such pairs are
 /// *coalesced*: the slot is allocated and tombstoned for id stability, but evidence
-/// discovery is skipped on both sides.
+/// discovery is skipped on both sides. Additions that [`apply_event_traced`] will
+/// reject as malformed allocate no id and are skipped here too, judged against the
+/// peers the batch has added so far.
 pub(crate) fn doomed_additions(
     catalog: &Catalog,
     events: &[NetworkEvent],
 ) -> std::collections::BTreeSet<pdms_schema::MappingId> {
     use std::collections::{BTreeMap, BTreeSet};
     let mut next = catalog.mapping_slot_count();
+    // Schema sizes of the peers added earlier in the batch, in id order.
+    let mut added_peers: Vec<usize> = Vec::new();
+    let schema_size = |peer: PeerId, added_peers: &[usize]| {
+        schema_size(catalog, peer)
+            .or_else(|| added_peers.get(peer.0 - catalog.peer_count()).copied())
+    };
     let mut pending: BTreeMap<pdms_schema::MappingId, (PeerId, PeerId)> = BTreeMap::new();
     let mut doomed = BTreeSet::new();
     for event in events {
         match event {
+            NetworkEvent::AddPeer { attributes, .. } if has_distinct_names(attributes) => {
+                added_peers.push(attributes.len());
+            }
             NetworkEvent::AddMapping {
                 source,
                 target,
                 correspondences,
-            } if !correspondences.is_empty() => {
+            } if !correspondences.is_empty()
+                && correspondences_fit(
+                    schema_size(*source, &added_peers),
+                    schema_size(*target, &added_peers),
+                    correspondences,
+                ) =>
+            {
                 pending.insert(pdms_schema::MappingId(next), (*source, *target));
                 next += 1;
             }
@@ -739,35 +787,60 @@ impl EngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::ExactBackend;
-    use crate::engine::Engine;
+    use crate::backend::{ExactBackend, VotingBackend};
     use pdms_schema::{AttributeId, MappingId, Predicate};
 
-    /// Four peers, ring plus chord, three attributes (small enough for exact).
-    fn intro_catalog_small() -> Catalog {
+    /// The introductory network over the given attributes: the ring p1 → p2 → p3 →
+    /// p4 → p1 of correct mappings plus the chord m24 (p2 → p4), whose first
+    /// correspondence points at the third attribute instead of the first.
+    fn intro_catalog_over(attributes: &[&str]) -> Catalog {
         let mut cat = Catalog::new();
         let peers: Vec<PeerId> = (0..4)
             .map(|i| {
                 cat.add_peer_with_schema(format!("p{}", i + 1), |s| {
-                    s.attributes(["Creator", "Item", "CreatedOn"]);
+                    s.attributes(attributes.iter().copied());
                 })
             })
             .collect();
-        let correct = |m: pdms_schema::MappingBuilder| {
-            m.correct(AttributeId(0), AttributeId(0))
-                .correct(AttributeId(1), AttributeId(1))
-                .correct(AttributeId(2), AttributeId(2))
+        let correct_from = |first: usize| {
+            move |mut m: pdms_schema::MappingBuilder| {
+                for a in first..attributes.len() {
+                    m = m.correct(AttributeId(a), AttributeId(a));
+                }
+                m
+            }
         };
-        cat.add_mapping(peers[0], peers[1], correct);
-        cat.add_mapping(peers[1], peers[2], correct);
-        cat.add_mapping(peers[2], peers[3], correct);
-        cat.add_mapping(peers[3], peers[0], correct);
+        cat.add_mapping(peers[0], peers[1], correct_from(0));
+        cat.add_mapping(peers[1], peers[2], correct_from(0));
+        cat.add_mapping(peers[2], peers[3], correct_from(0));
+        cat.add_mapping(peers[3], peers[0], correct_from(0));
         cat.add_mapping(peers[1], peers[3], |m| {
-            m.erroneous(AttributeId(0), AttributeId(2), AttributeId(0))
-                .correct(AttributeId(1), AttributeId(1))
-                .correct(AttributeId(2), AttributeId(2))
+            correct_from(1)(m.erroneous(AttributeId(0), AttributeId(2), AttributeId(0)))
         });
         cat
+    }
+
+    /// The worked example's eleven attributes, so Δ is estimated at 0.1.
+    fn intro_catalog() -> Catalog {
+        intro_catalog_over(&[
+            "Creator",
+            "Item",
+            "CreatedOn",
+            "Title",
+            "Subject",
+            "Medium",
+            "Height",
+            "Width",
+            "Location",
+            "Owner",
+            "Licence",
+        ])
+    }
+
+    /// Three attributes: small enough for the exact backend (the fine model stays
+    /// under the 24-variable enumeration limit).
+    fn intro_catalog_small() -> Catalog {
+        intro_catalog_over(&["Creator", "Item", "CreatedOn"])
     }
 
     fn exact_session() -> EngineSession {
@@ -908,55 +981,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_from_config_carries_the_settings_over() {
-        let config = EngineConfig {
-            delta: Some(0.1),
-            method: InferenceMethod::Exact,
-            ..Default::default()
-        };
-        let session = EngineBuilder::from_config(config).build(intro_catalog_small());
-        assert_eq!(session.backend_name(), "exact");
-        assert_eq!(session.delta(), 0.1);
-
-        // Builder calls after from_config still compose: an embedded cap set later
-        // reaches the default backend (the method/embedded pair resolves at build).
-        let capped = EngineBuilder::from_config(EngineConfig {
-            delta: Some(0.1),
-            ..Default::default()
-        })
-        .embedded(EmbeddedConfig {
-            max_rounds: 2,
-            record_history: false,
-            ..Default::default()
-        })
-        .build(intro_catalog_small());
-        assert_eq!(capped.rounds(), 2);
-        assert!(!capped.converged());
-    }
-
-    #[test]
-    fn builder_method_and_embedded_compose_in_either_order() {
+    fn embedded_config_reaches_the_default_backend() {
         // Two rounds are not enough to converge on the intro network (the default
         // would run to ~12), so rounds() == 2 proves the embedded config reached the
-        // backend regardless of whether .method() came before or after .embedded().
-        let capped = EmbeddedConfig {
-            max_rounds: 2,
-            record_history: false,
-            ..Default::default()
-        };
-        let method_first = Engine::builder()
-            .method(InferenceMethod::Embedded)
-            .embedded(capped.clone())
+        // backend the builder resolves when none is set.
+        let capped = Engine::builder()
+            .embedded(EmbeddedConfig {
+                max_rounds: 2,
+                record_history: false,
+                ..Default::default()
+            })
             .delta(0.1)
             .build(intro_catalog_small());
-        let embedded_first = Engine::builder()
-            .embedded(capped)
-            .method(InferenceMethod::Embedded)
-            .delta(0.1)
-            .build(intro_catalog_small());
-        assert_eq!(method_first.rounds(), 2);
-        assert_eq!(embedded_first.rounds(), 2);
-        assert!(!method_first.converged());
+        assert_eq!(capped.rounds(), 2);
+        assert!(!capped.converged());
     }
 
     #[test]
@@ -1052,5 +1090,107 @@ mod tests {
             report.analysis.evidences_reused,
             session.analysis().evidences.len()
         );
+    }
+
+    #[test]
+    fn delta_is_estimated_from_schema_sizes() {
+        let session = Engine::builder().build(intro_catalog());
+        assert!((session.delta() - 0.1).abs() < 1e-12);
+        let session = Engine::builder().delta(0.01).build(intro_catalog());
+        assert_eq!(session.delta(), 0.01);
+    }
+
+    #[test]
+    fn full_pipeline_detects_the_faulty_mapping_and_routes_around_it() {
+        let session = Engine::builder().build(intro_catalog());
+        assert!(session.converged());
+        assert!(session.rounds() > 0);
+        // m24 flagged for Creator, others fine.
+        let p_m24 =
+            session
+                .posteriors()
+                .probability(session.catalog(), MappingId(4), AttributeId(0));
+        assert!(p_m24 < 0.5, "m24 Creator posterior {p_m24}");
+        for m in 0..4 {
+            let p =
+                session
+                    .posteriors()
+                    .probability(session.catalog(), MappingId(m), AttributeId(0));
+            assert!(p > 0.5, "mapping {m} posterior {p}");
+        }
+        // Routing the introductory query from p2 avoids m24 and reaches every peer.
+        let query = Query::new()
+            .project(AttributeId(0))
+            .select(AttributeId(1), Predicate::Contains("river".into()));
+        let outcome = session.route(PeerId(1), &query, &RoutingPolicy::uniform(0.5));
+        assert_eq!(outcome.reached.len(), 3);
+        assert!(outcome.tainted.is_empty());
+        assert!(!outcome.forwarded_mappings().contains(&MappingId(4)));
+        // Evaluation: precision 1.0 at θ = 0.5 (only the truly faulty pair is flagged).
+        let eval = session.evaluate(0.5);
+        assert_eq!(eval.true_positives, 1);
+        assert_eq!(eval.false_positives, 0);
+        assert_eq!(eval.precision(), 1.0);
+    }
+
+    #[test]
+    fn exact_and_embedded_backends_agree_on_classification() {
+        // Δ is pinned to the paper's 0.1: the three-attribute schemas would otherwise
+        // estimate Δ = 0.5, which makes all the evidence too weak to classify.
+        let embedded = Engine::builder().delta(0.1).build(intro_catalog_small());
+        let exact = exact_session();
+        for m in 0..5 {
+            let pe = embedded.posteriors().mapping_probability(MappingId(m));
+            let px = exact.posteriors().mapping_probability(MappingId(m));
+            assert_eq!(pe < 0.5, px < 0.5, "mapping {m}: embedded {pe} exact {px}");
+        }
+    }
+
+    #[test]
+    fn voting_backend_over_penalises() {
+        let voting = Engine::builder()
+            .backend(VotingBackend)
+            .build(intro_catalog());
+        // The voting heuristic cannot exonerate correct mappings that share a negative
+        // cycle with the faulty one: their score is dragged down to the break-even 0.5,
+        // so a slightly cautious threshold (0.55) wrongly flags them too — exactly the
+        // weakness Section 6 describes — while the probabilistic engine keeps them
+        // above 0.5 (see `full_pipeline_detects_the_faulty_mapping_and_routes_around_it`).
+        let eval = voting.evaluate(0.55);
+        assert!(eval.flagged() > 1, "flagged {}", eval.flagged());
+        assert!(eval.precision() < 1.0);
+    }
+
+    #[test]
+    fn prior_update_accumulates_between_runs() {
+        let mut session = Engine::builder().build(intro_catalog());
+        let p1 = session
+            .posteriors()
+            .probability_ignoring_bottom(MappingId(4), AttributeId(0));
+        session.update_priors();
+        let m24_key = VariableKey {
+            mapping: MappingId(4),
+            attribute: Some(AttributeId(0)),
+        };
+        let prior_after = session.priors().prior(&m24_key);
+        assert!(prior_after < 0.5, "prior after update {prior_after}");
+        // A second cold run starting from the updated priors pushes the posterior
+        // further.
+        session.rebuild_from_scratch();
+        let p2 = session
+            .posteriors()
+            .probability_ignoring_bottom(MappingId(4), AttributeId(0));
+        assert!(
+            p2 <= p1 + 1e-9,
+            "second run {p2} should not exceed first run {p1}"
+        );
+    }
+
+    #[test]
+    fn analysis_exposes_feedback_counts() {
+        let session = Engine::builder().build(intro_catalog());
+        let (pos, neg, _neutral) = session.analysis().feedback_counts();
+        assert!(pos > 0);
+        assert!(neg > 0);
     }
 }

@@ -321,7 +321,7 @@ impl BatchScratch {
 
 /// A component-sharded incremental inference session over an evolving catalog.
 ///
-/// Built with [`crate::engine::Engine::builder`]`.build_sharded(catalog)`. Exact by
+/// Built with [`crate::session::Engine::builder`]`.build_sharded(catalog)`. Exact by
 /// construction: evidence paths never cross weak-component boundaries, so
 /// per-shard inference reproduces the single-session posteriors (bit-identically
 /// under deterministic backend configurations — see `docs/SHARDING.md`).

@@ -69,9 +69,8 @@ fn main() {
     );
 
     // Show what the chosen TTL buys: detection quality against the injected errors.
-    let mut engine = pdms::core::Engine::new(network.catalog.clone(), Default::default());
-    let full = engine.run();
-    let eval_full = engine.evaluate(&full, 0.5);
+    let full = pdms::core::Engine::builder().build(network.catalog.clone());
+    let eval_full = full.evaluate(0.5);
     println!(
         "detection at the default analysis bounds: {} flagged, precision {:.2}, recall {:.2}",
         eval_full.flagged(),

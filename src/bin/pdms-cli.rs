@@ -14,7 +14,7 @@
 //!
 //! Run via `cargo run --bin pdms-cli -- <command> [options]`.
 
-use pdms::core::{Engine, EngineConfig, RoutingPolicy};
+use pdms::core::{Engine, EngineBuilder, RoutingPolicy};
 use pdms::rdf::{export_catalog, import_catalog, parse_alignment, parse_ontology};
 use pdms::schema::{AttributeId, Predicate, Query};
 use pdms::workloads::{
@@ -233,21 +233,21 @@ fn assess(options: &Options) -> Result<(), String> {
     );
 
     let import = import_catalog(&ontologies, &alignments).map_err(|e| e.to_string())?;
-    let mut config = EngineConfig {
-        delta: Some(delta),
-        ..Default::default()
-    };
-    config.analysis.max_cycle_len = max_cycle_len;
-    config.analysis.max_path_len = max_cycle_len.saturating_sub(1).max(1);
-    let catalog = import.catalog.clone();
-    let mut engine = Engine::new(import.catalog, config);
-    let report = engine.run();
+    let session = Engine::builder()
+        .delta(delta)
+        .analysis(pdms::core::AnalysisConfig {
+            max_cycle_len,
+            max_path_len: max_cycle_len.saturating_sub(1).max(1),
+            ..Default::default()
+        })
+        .build(import.catalog);
+    let catalog = session.catalog();
     println!(
         "analysis: {} evidence paths, {} variables, {} rounds (converged: {})",
-        report.analysis.evidences.len(),
-        report.model.variable_count(),
-        report.rounds,
-        report.converged
+        session.analysis().evidences.len(),
+        session.model().variable_count(),
+        session.rounds(),
+        session.converged()
     );
 
     // Print every correspondence with its posterior, flagged ones first.
@@ -257,8 +257,8 @@ fn assess(options: &Options) -> Result<(), String> {
         let source_schema = catalog.peer_schema(source);
         let target_schema = catalog.peer_schema(target);
         for (attribute, correspondence) in catalog.mapping(mapping_id).correspondences() {
-            let p = report
-                .posteriors
+            let p = session
+                .posteriors()
                 .probability_ignoring_bottom(mapping_id, attribute);
             let source_name = source_schema
                 .attribute(attribute)
@@ -296,29 +296,30 @@ fn assess(options: &Options) -> Result<(), String> {
 fn intro(options: &Options) -> Result<(), String> {
     let theta: f64 = options.parsed("theta", 0.5)?;
     let (catalog, mappings) = intro_network();
-    let mut engine = Engine::new(catalog, EngineConfig::default());
-    let report = engine.run();
+    let session = Engine::builder().build(catalog);
+    let catalog = session.catalog();
     println!("worked example of Section 4.5 (four art databases, five mappings)");
-    println!("delta = {:.2}, rounds = {}\n", report.delta, report.rounds);
+    println!(
+        "delta = {:.2}, rounds = {}\n",
+        session.delta(),
+        session.rounds()
+    );
     let creator = AttributeId(0);
-    for mapping in engine.catalog().mappings() {
-        let (from, to) = engine.catalog().mapping_endpoints(mapping);
-        let p = report
-            .posteriors
-            .probability(engine.catalog(), mapping, creator);
+    for mapping in catalog.mappings() {
+        let (from, to) = catalog.mapping_endpoints(mapping);
+        let p = session.posteriors().probability(catalog, mapping, creator);
         println!(
             "  {mapping} {:>3} -> {:<3}  P(Creator preserved) = {p:.3}{}",
-            engine.catalog().peer_name(from),
-            engine.catalog().peer_name(to),
+            catalog.peer_name(from),
+            catalog.peer_name(to),
             if p < theta { "   <-- faulty" } else { "" }
         );
     }
     let query = Query::new()
         .project(creator)
         .select(AttributeId(1), Predicate::Contains("river".into()));
-    let outcome = engine.route(
-        &report,
-        engine.catalog().mapping_endpoints(mappings.m23).0,
+    let outcome = session.route(
+        catalog.mapping_endpoints(mappings.m23).0,
         &query,
         &RoutingPolicy::uniform(theta),
     );
@@ -380,26 +381,17 @@ fn churn(options: &Options) -> Result<(), String> {
         batch_size,
         splice: if no_splice { Some(false) } else { None },
     };
-    let embedded = pdms::core::EmbeddedConfig {
-        record_history: false,
-        ..Default::default()
-    };
+    let builder = Engine::builder()
+        .analysis(analysis_config)
+        .embedded(pdms::core::EmbeddedConfig {
+            record_history: false,
+            ..Default::default()
+        })
+        .delta(0.1);
     if sharded {
-        return churn_sharded(
-            epochs,
-            seed,
-            merge_rate,
-            topology_name,
-            network,
-            analysis_config,
-            embedded,
-        );
+        return churn_sharded(epochs, seed, merge_rate, topology_name, network, builder);
     }
-    let mut session = Engine::builder()
-        .analysis(analysis_config.clone())
-        .embedded(embedded.clone())
-        .delta(0.1)
-        .build(network.catalog.clone());
+    let mut session = builder.build(network.catalog.clone());
     println!(
         "synthetic {} network: {} peers, {} mappings, {} evidence paths; cold build took {} rounds",
         topology_name,
@@ -423,16 +415,8 @@ fn churn(options: &Options) -> Result<(), String> {
         let report = session.apply(&events);
 
         // The cost the incremental path avoids: a full from-scratch run.
-        let mut full = Engine::new(
-            session.catalog().clone(),
-            EngineConfig {
-                analysis: analysis_config.clone(),
-                embedded: embedded.clone(),
-                delta: Some(0.1),
-                ..Default::default()
-            },
-        );
-        let cold = full.run();
+        let mut cold = session.clone();
+        cold.rebuild_from_scratch();
         println!(
             "{epoch:>5} {:>7} {:>8} {:>8} {:>8} {:>8} {:>11} {:>11}",
             report.events_applied,
@@ -441,7 +425,7 @@ fn churn(options: &Options) -> Result<(), String> {
             report.analysis.evidences_added,
             report.analysis.evidences_removed,
             report.rounds,
-            cold.rounds,
+            cold.rounds(),
         );
     }
     let stats = session.stats();
@@ -461,21 +445,15 @@ fn churn(options: &Options) -> Result<(), String> {
 /// epochs, printing per-epoch shard maintenance (touched / spliced / rebuilt
 /// shards, merges, splits, bridge evidence, per-shard dispatch timing) instead of
 /// per-evidence accounting.
-#[allow(clippy::too_many_arguments)]
 fn churn_sharded(
     epochs: usize,
     seed: u64,
     merge_rate: f64,
     topology_name: &str,
     network: SyntheticNetwork,
-    analysis_config: pdms::core::AnalysisConfig,
-    embedded: pdms::core::EmbeddedConfig,
+    builder: EngineBuilder,
 ) -> Result<(), String> {
-    let mut session = Engine::builder()
-        .analysis(analysis_config)
-        .embedded(embedded)
-        .delta(0.1)
-        .build_sharded(network.catalog.clone());
+    let mut session = builder.build_sharded(network.catalog.clone());
     println!(
         "synthetic {} network: {} peers, {} mappings, {} evidence paths across {} shards",
         topology_name,

@@ -34,9 +34,10 @@
 //! ```
 //!
 //! Inference is pluggable through the [`core::InferenceBackend`] trait
-//! (embedded message passing, centralized exact, cycle voting, or your own); the
-//! batch [`core::Engine`] façade remains for one-shot experiments. `MIGRATION.md`
-//! at the workspace root maps the old `EngineConfig`-based API onto the builder.
+//! (embedded message passing, centralized exact, cycle voting, or your own); a
+//! one-shot experiment is a build followed by reads of the session.
+//! `MIGRATION.md` at the workspace root maps the removed one-shot engine API onto
+//! the builder.
 //!
 //! At federation scale, `Engine::builder()…build_sharded(catalog)` returns a
 //! [`core::ShardedSession`]: the catalog is partitioned into its weakly connected

@@ -3,13 +3,13 @@
 //! `EngineSession::apply` maintains the evidence analysis and posteriors under
 //! network deltas; these tests drive a session through peer/mapping additions,
 //! removals, corruptions, repairs and drops, and assert after every batch that its
-//! posteriors match a from-scratch `Engine::run()` on the identically mutated
-//! catalog. The exact backend is used so agreement is to numerical precision, with
+//! posteriors match a from-scratch `Engine::builder()…build(catalog)` on the
+//! identically mutated catalog. The exact backend is used so agreement is to numerical precision, with
 //! no iterative-convergence tolerance in the way.
 
 use pdms::core::{
-    apply_event, backend_for_method, EmbeddedBackend, Engine, EngineConfig, ExactBackend,
-    InferenceBackend, InferenceMethod, NetworkEvent, VotingBackend,
+    apply_event, EmbeddedBackend, Engine, ExactBackend, InferenceBackend, NetworkEvent,
+    VotingBackend,
 };
 use pdms::schema::{AttributeId, Catalog, MappingId, PeerId};
 use std::collections::BTreeMap;
@@ -39,20 +39,15 @@ fn base_catalog() -> Catalog {
     cat
 }
 
-/// Runs a from-scratch batch engine over `catalog` and returns posteriors keyed by
+/// Builds a from-scratch session over `catalog` and returns posteriors keyed by
 /// variable (variable order differs between incremental and batch analyses, so the
 /// comparison must be key-based).
 fn batch_posteriors(catalog: &Catalog) -> BTreeMap<pdms::core::VariableKey, f64> {
-    let mut engine = Engine::new(
-        catalog.clone(),
-        EngineConfig {
-            method: InferenceMethod::Exact,
-            delta: Some(0.1),
-            ..Default::default()
-        },
-    );
-    let report = engine.run();
-    report.posteriors.as_variable_map(&report.model)
+    let batch = Engine::builder()
+        .backend(ExactBackend)
+        .delta(0.1)
+        .build(catalog.clone());
+    batch.posteriors().as_variable_map(batch.model())
 }
 
 /// Asserts that the session posteriors equal a from-scratch run on its catalog.
@@ -236,14 +231,13 @@ fn every_backend_is_a_send_sync_trait_object() {
         Arc::new(EmbeddedBackend::default()),
         Arc::new(ExactBackend),
         Arc::new(VotingBackend),
-        backend_for_method(InferenceMethod::Embedded, &Default::default()),
     ];
     let handles: Vec<_> = backends
         .into_iter()
         .map(|backend| std::thread::spawn(move || backend.name().to_string()))
         .collect();
     let names: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    assert_eq!(names, vec!["embedded", "exact", "voting", "embedded"]);
+    assert_eq!(names, vec!["embedded", "exact", "voting"]);
 }
 
 #[test]
@@ -257,17 +251,12 @@ fn session_with_embedded_backend_agrees_with_batch_classification() {
         attribute: AttributeId(0),
         wrong_target: AttributeId(2),
     }]);
-    let mut engine = Engine::new(
-        session.catalog().clone(),
-        EngineConfig {
-            delta: Some(0.1),
-            ..Default::default()
-        },
-    );
-    let batch = engine.run();
+    let batch = Engine::builder()
+        .delta(0.1)
+        .build(session.catalog().clone());
     for mapping in session.catalog().mappings() {
         let incremental = session.posteriors().mapping_probability(mapping);
-        let from_scratch = batch.posteriors.mapping_probability(mapping);
+        let from_scratch = batch.posteriors().mapping_probability(mapping);
         assert_eq!(
             incremental < 0.5,
             from_scratch < 0.5,

@@ -531,6 +531,123 @@ fn coalesced_pairs_do_no_evidence_work() {
 }
 
 #[test]
+fn malformed_events_are_ignored_by_both_sessions() {
+    // Events naming peers, mappings or attributes the catalog does not hold are
+    // ignored: no panic, no catalog change, one `events_ignored` each.
+    let catalog = islands_network(41);
+    let peers = catalog.peer_count();
+    let slots = catalog.mapping_slot_count();
+    let beyond = catalog
+        .peers()
+        .map(|p| catalog.peer_schema(p).attribute_count())
+        .max()
+        .map(AttributeId)
+        .expect("the network has peers");
+    let identity: Vec<_> = (0..3)
+        .map(|a| (AttributeId(a), AttributeId(a), Some(AttributeId(a))))
+        .collect();
+    let unknown_target = NetworkEvent::AddMapping {
+        source: PeerId(0),
+        target: PeerId(peers),
+        correspondences: identity.clone(),
+    };
+    let malformed = [
+        unknown_target.clone(),
+        NetworkEvent::AddMapping {
+            source: PeerId(peers + 3),
+            target: PeerId(0),
+            correspondences: identity.clone(),
+        },
+        NetworkEvent::AddMapping {
+            source: PeerId(0),
+            target: PeerId(1),
+            correspondences: vec![(beyond, AttributeId(0), None)],
+        },
+        NetworkEvent::AddPeer {
+            name: "twin".into(),
+            attributes: vec!["x".into(), "x".into()],
+        },
+        NetworkEvent::Corrupt {
+            mapping: MappingId(slots),
+            attribute: AttributeId(0),
+            wrong_target: AttributeId(1),
+        },
+        NetworkEvent::Repair {
+            mapping: MappingId(slots + 7),
+            attribute: AttributeId(0),
+        },
+        NetworkEvent::Drop {
+            mapping: MappingId(slots),
+            attribute: AttributeId(0),
+        },
+        NetworkEvent::Corrupt {
+            mapping: MappingId(0),
+            attribute: beyond,
+            wrong_target: AttributeId(beyond.0 + 1),
+        },
+    ];
+    let before = format!("{catalog:?}");
+    let mut session = single(catalog.clone());
+    let mut shards = sharded(catalog.clone());
+    for event in &malformed {
+        let report = session.apply(std::slice::from_ref(event));
+        assert_eq!(
+            (report.events_applied, report.events_ignored),
+            (0, 1),
+            "single session: {event:?}"
+        );
+        let report = shards.apply_batch(std::slice::from_ref(event));
+        assert_eq!(
+            (report.events_applied, report.events_ignored),
+            (0, 1),
+            "sharded session: {event:?}"
+        );
+    }
+    assert_eq!(format!("{:?}", session.catalog()), before);
+    assert_eq!(format!("{:?}", shards.catalog()), before);
+
+    // An ignored addition allocates no id, so the coalescing lookahead skips it
+    // too: the addition `RemovePeer` withdraws is the one that really got id
+    // `slots`, and the one after it survives with a live mirror edge.
+    let batch = [
+        unknown_target,
+        NetworkEvent::AddMapping {
+            source: PeerId(0),
+            target: PeerId(1),
+            correspondences: identity.clone(),
+        },
+        NetworkEvent::AddMapping {
+            source: PeerId(2),
+            target: PeerId(0),
+            correspondences: identity,
+        },
+        NetworkEvent::RemovePeer { peer: PeerId(1) },
+    ];
+    let report = session.apply(&batch);
+    assert_eq!((report.events_ignored, report.mappings_coalesced), (1, 1));
+    let shard_report = shards.apply_batch(&batch);
+    assert_eq!(
+        (shard_report.events_ignored, shard_report.mappings_coalesced),
+        (1, 1)
+    );
+    assert!(session.catalog().is_mapping_removed(MappingId(slots)));
+    assert!(!session.catalog().is_mapping_removed(MappingId(slots + 1)));
+    let rebuilt = pdms::core::cycle_analysis::build_topology(session.catalog());
+    let rebuilt_edges: Vec<_> = rebuilt.edges().collect();
+    assert_eq!(
+        session.topology().edges().collect::<Vec<_>>(),
+        rebuilt_edges
+    );
+    assert_eq!(shards.topology().edges().collect::<Vec<_>>(), rebuilt_edges);
+    let cold = single(session.catalog().clone());
+    assert_eq!(
+        session.analysis().evidences.len(),
+        cold.analysis().evidences.len()
+    );
+    assert_evidence_sets_equal(&cold, &shards, "ignored addition in a batch");
+}
+
+#[test]
 fn routing_and_evaluation_match_the_single_session() {
     let catalog = islands_network(13);
     let reference = single(catalog.clone());
@@ -602,7 +719,7 @@ fn batch_size_knob_chunks_the_stream() {
     // must agree bit for bit — this isolates the chunking semantics from
     // iterative-restart numerics (which `random_churn_…` covers with its ulp
     // envelope).
-    use pdms::core::{InferenceMethod, VotingBackend};
+    use pdms::core::VotingBackend;
     let catalog = islands_network(3);
     let mut chunked = Engine::builder()
         .analysis(analysis())
@@ -612,7 +729,7 @@ fn batch_size_knob_chunks_the_stream() {
         .build_sharded(catalog.clone());
     let mut whole = Engine::builder()
         .analysis(analysis())
-        .method(InferenceMethod::Voting)
+        .backend(VotingBackend)
         .delta(0.1)
         .build_sharded(catalog.clone());
     let mut reference = Engine::builder()
