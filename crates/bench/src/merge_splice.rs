@@ -15,10 +15,10 @@
 //! epochs **sever** the surviving bridges again — component merges *and* splits
 //! recur for the whole run, against donor shards sitting at their converged
 //! fixpoints. The identical pre-generated event stream is driven through two
-//! sharded sessions that differ in exactly one knob: `EngineBuilder::splice(true)`
-//! (the warm path: donor analyses remapped, only bridge evidence searched,
-//! warm-started inference) versus `splice(false)` (the PR 4 behavior: every
-//! merged or split shard rebuilt cold). Both run `shard_parallelism = 1`, so the
+//! sharded sessions that differ in exactly one knob: `AnalysisConfig::splice`
+//! `Some(true)` (the warm path: donor analyses remapped, only bridge evidence
+//! searched, warm-started inference) versus `Some(false)` (the PR 4 behavior:
+//! every merged or split shard rebuilt cold). Both run `shard_parallelism = 1`, so the
 //! comparison is pure per-shard work — no threads, sound on 1-core hosts.
 //!
 //! Reported per fixture: end-to-end churn wall time for both modes, the mean
@@ -27,7 +27,7 @@
 //! modes produce equivalent posteriors, so the timing comparison measures cost,
 //! not different answers.
 
-use pdms_core::{apply_event, EmbeddedConfig, EventEffect};
+use pdms_core::{apply_event, AnalysisConfig, EmbeddedConfig, EventEffect};
 use pdms_core::{Engine, NetworkEvent, ShardedSession};
 use pdms_schema::MappingId;
 use pdms_workloads::{multi_component_network, ChurnConfig, ChurnGenerator};
@@ -152,14 +152,15 @@ pub fn merge_fixture(
     }
 }
 
-/// Builds the sharded session for one mode (`splice` pinned explicitly so the
-/// `PDMS_SPLICE` environment cannot skew the comparison).
+/// Builds the sharded session for one mode (`splice` on or off).
 pub fn build_session(fixture: &Fixture, splice: bool) -> ShardedSession {
     Engine::builder()
-        .analysis(bench_analysis())
+        .analysis(AnalysisConfig {
+            splice: Some(splice),
+            ..bench_analysis()
+        })
         .embedded(bench_embedded())
         .delta(0.1)
-        .splice(splice)
         .build_sharded(fixture.catalog.clone())
 }
 

@@ -79,47 +79,41 @@ pub struct AnalysisConfig {
     /// only want cycle feedback.
     pub include_parallel_paths: bool,
     /// Worker threads for the full cycle / parallel-path enumerations: `0` = auto
-    /// (the `PDMS_PARALLELISM` environment variable, else every available core), `1`
-    /// = serial, `n` = exactly `n` workers. Results are identical at every setting —
-    /// the work-stealing fan-out merges in deterministic origin-then-subtask order
-    /// (see [`pdms_graph::effective_parallelism`]).
+    /// (every available core), `1` = serial, `n` = exactly `n` workers. Results are
+    /// identical at every setting — the work-stealing fan-out merges in
+    /// deterministic origin-then-subtask order (see
+    /// [`pdms_graph::effective_parallelism`]).
     pub parallelism: usize,
     /// First-hop degree at which an origin counts as *heavy* and its DFS is split
-    /// into stealable subtasks (hub peers in scale-free networks). `0` = auto: the
-    /// `PDMS_HEAVY_ORIGIN_THRESHOLD` environment variable, else
-    /// [`pdms_graph::DEFAULT_HEAVY_ORIGIN_THRESHOLD`]. Scheduling only — results
+    /// into stealable subtasks (hub peers in scale-free networks). `0` = auto
+    /// ([`pdms_graph::DEFAULT_HEAVY_ORIGIN_THRESHOLD`]). Scheduling only — results
     /// are identical at every setting.
     pub heavy_origin_threshold: usize,
     /// First-hop edges per stolen subtask of a heavy origin. Smaller values flatten
-    /// the per-worker tail harder at slightly more scheduling overhead. `0` = auto:
-    /// the `PDMS_STEAL_GRANULARITY` environment variable, else
-    /// [`pdms_graph::DEFAULT_STEAL_GRANULARITY`]. Scheduling only — results are
+    /// the per-worker tail harder at slightly more scheduling overhead. `0` = auto
+    /// ([`pdms_graph::DEFAULT_STEAL_GRANULARITY`]). Scheduling only — results are
     /// identical at every setting.
     pub steal_granularity: usize,
     /// Worker threads a [`crate::sharding::ShardedSession`] dispatches its
-    /// component shards over: `0` = auto (the `PDMS_SHARD_PARALLELISM` environment
-    /// variable, else every available core), `1` = serial, `n` = exactly `n`
-    /// workers. Distinct from [`AnalysisConfig::parallelism`], which fans out
-    /// *within* one enumeration. Scheduling only — per-shard results merge by
-    /// global mapping id, so posteriors are identical at every setting. Ignored by
-    /// non-sharded sessions.
+    /// component shards over: `0` = auto (every available core), `1` = serial,
+    /// `n` = exactly `n` workers. Distinct from [`AnalysisConfig::parallelism`],
+    /// which fans out *within* one enumeration. Scheduling only — per-shard results
+    /// merge by global mapping id, so posteriors are identical at every setting.
+    /// Ignored by non-sharded sessions.
     pub shard_parallelism: usize,
     /// Ingestion batch size of a [`crate::sharding::ShardedSession`]: event slices
     /// longer than this are split into consecutive batches of at most this many
-    /// events, each triggering one inference pass per touched shard. `0` = auto
-    /// (the `PDMS_BATCH_SIZE` environment variable, else "one batch per submitted
-    /// slice"). Ignored by non-sharded sessions.
+    /// events, each triggering one inference pass per touched shard. `0` = one
+    /// batch per submitted slice. Ignored by non-sharded sessions.
     pub batch_size: usize,
     /// Warm shard splicing of a [`crate::sharding::ShardedSession`]: on a component
     /// merge or split, splice the donor shards' cached analyses and converged
     /// posteriors into the new shard — searching only the evidence through the
     /// bridging mappings — instead of rebuilding the touched shards cold. `None` =
-    /// auto (the `PDMS_SPLICE` environment variable; `0`/`false`/`off`/`no`
-    /// disable, default enabled), `Some(v)` pins it. The knob never changes
-    /// results (exact evidence sets; posteriors within the warm-restart ulp
-    /// envelope, bit-identical on cold comparison points — see
-    /// `docs/SHARDING.md`); it exists as a cost comparison and fallback. Ignored
-    /// by non-sharded sessions.
+    /// enabled, `Some(v)` pins it. The knob never changes results (exact evidence
+    /// sets; posteriors within the warm-restart ulp envelope, bit-identical on cold
+    /// comparison points — see `docs/SHARDING.md`); it exists as a cost comparison
+    /// and fallback. Ignored by non-sharded sessions.
     pub splice: Option<bool>,
 }
 

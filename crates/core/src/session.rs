@@ -58,6 +58,7 @@ use crate::metrics::{precision_recall, EvaluationReport};
 use crate::posterior::PosteriorTable;
 use crate::priors::PriorStore;
 use crate::routing::{route_query, RoutingOutcome, RoutingPolicy};
+use crate::sharding::ShardSeed;
 use pdms_graph::{DiGraph, EdgeId, NodeId};
 use pdms_schema::{Catalog, PeerId, Query};
 use std::collections::BTreeMap;
@@ -113,37 +114,12 @@ impl EngineBuilder {
         Self::default()
     }
 
-    /// Sets the cycle / parallel-path discovery bounds.
-    pub fn analysis(mut self, analysis: AnalysisConfig) -> Self {
-        self.analysis = analysis;
-        self
-    }
-
-    /// Sets the worker count for full evidence enumerations (`0` = auto via
-    /// `PDMS_PARALLELISM` / available cores, `1` = serial). Shorthand for setting
-    /// [`AnalysisConfig::parallelism`]; results are identical at every setting.
-    pub fn parallelism(mut self, parallelism: usize) -> Self {
-        self.analysis.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the first-hop degree at which an origin peer counts as *heavy* and its
-    /// enumeration DFS is split into work-stealing subtasks (`0` = auto via
-    /// `PDMS_HEAVY_ORIGIN_THRESHOLD`, else the built-in default). Shorthand for
-    /// [`AnalysisConfig::heavy_origin_threshold`]. Scheduling only — evidence ids
-    /// are identical at every setting.
-    pub fn heavy_origin_threshold(mut self, threshold: usize) -> Self {
-        self.analysis.heavy_origin_threshold = threshold;
-        self
-    }
-
-    /// Sets how many first-hop edges each stolen subtask of a heavy origin covers
-    /// (`0` = auto via `PDMS_STEAL_GRANULARITY`, else the built-in default).
-    /// Shorthand for [`AnalysisConfig::steal_granularity`]. Scheduling only —
-    /// evidence ids are identical at every setting.
+    /// Sets the cycle / parallel-path discovery bounds and the scheduling knobs
+    /// (enumeration workers, hub splitting, shard dispatch workers, batch size,
+    /// splicing) — the one place each of them is set.
     ///
     /// ```
-    /// use pdms_core::Engine;
+    /// use pdms_core::{AnalysisConfig, Engine};
     ///
     /// let catalog = {
     ///     let mut c = pdms_schema::Catalog::new();
@@ -156,44 +132,20 @@ impl EngineBuilder {
     /// };
     /// // Hub-splitting knobs never change the evidence — only how it is scheduled.
     /// let fine = Engine::builder()
-    ///     .parallelism(4)
-    ///     .heavy_origin_threshold(1)
-    ///     .steal_granularity(1)
+    ///     .analysis(AnalysisConfig {
+    ///         parallelism: 4,
+    ///         heavy_origin_threshold: 1,
+    ///         steal_granularity: 1,
+    ///         ..Default::default()
+    ///     })
     ///     .build(catalog.clone());
-    /// let serial = Engine::builder().parallelism(1).build(catalog);
+    /// let serial = Engine::builder()
+    ///     .analysis(AnalysisConfig { parallelism: 1, ..Default::default() })
+    ///     .build(catalog);
     /// assert_eq!(fine.analysis().evidences.len(), serial.analysis().evidences.len());
     /// ```
-    pub fn steal_granularity(mut self, granularity: usize) -> Self {
-        self.analysis.steal_granularity = granularity;
-        self
-    }
-
-    /// Sets the worker count a [`crate::sharding::ShardedSession`] dispatches its
-    /// component shards over (`0` = auto via `PDMS_SHARD_PARALLELISM` / available
-    /// cores, `1` = serial). Shorthand for [`AnalysisConfig::shard_parallelism`];
-    /// scheduling only, posteriors are identical at every setting. Ignored by
-    /// [`EngineBuilder::build`].
-    pub fn shard_parallelism(mut self, workers: usize) -> Self {
-        self.analysis.shard_parallelism = workers;
-        self
-    }
-
-    /// Sets the ingestion batch size of a [`crate::sharding::ShardedSession`]
-    /// (`0` = auto via `PDMS_BATCH_SIZE`, else one batch per submitted slice).
-    /// Shorthand for [`AnalysisConfig::batch_size`]. Ignored by
-    /// [`EngineBuilder::build`].
-    pub fn batch_size(mut self, events: usize) -> Self {
-        self.analysis.batch_size = events;
-        self
-    }
-
-    /// Pins the warm shard-splice path of a [`crate::sharding::ShardedSession`] on
-    /// or off (unset = auto via `PDMS_SPLICE`, default on). Shorthand for
-    /// [`AnalysisConfig::splice`]; results are identical either way — disabling it
-    /// falls back to cold shard rebuilds on component merges and splits. Ignored
-    /// by [`EngineBuilder::build`].
-    pub fn splice(mut self, enabled: bool) -> Self {
-        self.analysis.splice = Some(enabled);
+    pub fn analysis(mut self, analysis: AnalysisConfig) -> Self {
+        self.analysis = analysis;
         self
     }
 
@@ -216,8 +168,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets an already-shared inference backend.
-    pub fn backend_arc(mut self, backend: Arc<dyn InferenceBackend>) -> Self {
+    /// Sets an already-shared inference backend (how shard builds share one
+    /// backend instance).
+    pub(crate) fn backend_arc(mut self, backend: Arc<dyn InferenceBackend>) -> Self {
         self.backend = Some(backend);
         self
     }
@@ -283,28 +236,21 @@ impl EngineBuilder {
             .unwrap_or_else(|| Arc::new(EmbeddedBackend::new(self.embedded.clone())))
     }
 
-    /// The accumulated analysis configuration (consumed by
-    /// [`crate::sharding::ShardedSession::build`]).
-    pub(crate) fn into_parts(self) -> ShardSeedParts {
+    /// The per-shard configuration of a [`crate::sharding::ShardedSession`] over
+    /// `catalog`, with Δ resolved: the pinned value, else the estimate over
+    /// `catalog`.
+    pub(crate) fn into_shard_seed(self, catalog: &Catalog) -> ShardSeed {
         let backend = self.resolve_backend();
-        ShardSeedParts {
+        ShardSeed {
             analysis: self.analysis,
             granularity: self.granularity,
-            delta: self.delta,
             backend,
             priors: self.priors.unwrap_or_default(),
+            delta: self
+                .delta
+                .unwrap_or_else(|| estimate_delta_for_catalog(catalog)),
         }
     }
-}
-
-/// The builder state a [`crate::sharding::ShardedSession`] needs to construct and
-/// re-construct per-shard sessions.
-pub(crate) struct ShardSeedParts {
-    pub(crate) analysis: AnalysisConfig,
-    pub(crate) granularity: Granularity,
-    pub(crate) delta: Option<f64>,
-    pub(crate) backend: Arc<dyn InferenceBackend>,
-    pub(crate) priors: PriorStore,
 }
 
 /// Everything a shard splice (see `crate::sharding`) assembles *before* inference:
@@ -1042,33 +988,43 @@ mod tests {
 
     #[test]
     fn parallelism_knob_does_not_change_the_session_result() {
-        let serial = Engine::builder()
-            .backend(ExactBackend)
-            .delta(0.1)
-            .parallelism(1)
-            .build(intro_catalog_small());
-        let threaded = Engine::builder()
-            .backend(ExactBackend)
-            .delta(0.1)
-            .parallelism(4)
-            .build(intro_catalog_small());
-        assert_eq!(
-            serial.analysis().evidences.len(),
-            threaded.analysis().evidences.len()
-        );
-        for (a, b) in serial
-            .analysis()
-            .evidences
-            .iter()
-            .zip(&threaded.analysis().evidences)
-        {
-            assert_eq!(a, b, "evidence ids must not depend on the worker count");
-        }
-        for m in 0..5 {
+        let build = |analysis: AnalysisConfig| {
+            Engine::builder()
+                .backend(ExactBackend)
+                .delta(0.1)
+                .analysis(analysis)
+                .build(intro_catalog_small())
+        };
+        let serial = build(AnalysisConfig {
+            parallelism: 1,
+            ..Default::default()
+        });
+        // Multi-threaded, and aggressive work stealing: every origin with two or
+        // more first hops is split into one subtask per first hop.
+        for threaded in [
+            AnalysisConfig {
+                parallelism: 4,
+                ..Default::default()
+            },
+            AnalysisConfig {
+                parallelism: 4,
+                heavy_origin_threshold: 2,
+                steal_granularity: 1,
+                ..Default::default()
+            },
+        ] {
+            let threaded = build(threaded);
             assert_eq!(
-                serial.posteriors().mapping_probability(MappingId(m)),
-                threaded.posteriors().mapping_probability(MappingId(m))
+                serial.analysis().evidences,
+                threaded.analysis().evidences,
+                "evidence ids must not depend on the schedule"
             );
+            for m in 0..5 {
+                assert_eq!(
+                    serial.posteriors().mapping_probability(MappingId(m)),
+                    threaded.posteriors().mapping_probability(MappingId(m))
+                );
+            }
         }
     }
 

@@ -41,15 +41,14 @@
 //! inference warm-starts from the donors' converged posteriors so only the new
 //! evidence's neighborhood re-activates. An edge between two previously separate
 //! peer islands is the dominant structural event in a growing PDMS; splicing makes
-//! it cost the bridge, not the islands. `PDMS_SPLICE=0` (or
-//! [`crate::session::EngineBuilder::splice`]`(false)`) falls back to cold rebuilds;
-//! results are identical either way. See `docs/SHARDING.md` for the lifecycle, the
-//! exactness argument and a worked event trace.
+//! it cost the bridge, not the islands. [`AnalysisConfig::splice`]` = Some(false)`
+//! falls back to cold rebuilds; results are identical either way. See
+//! `docs/SHARDING.md` for the lifecycle, the exactness argument and a worked
+//! event trace.
 
 use crate::backend::InferenceBackend;
 use crate::cycle_analysis::{build_topology, AnalysisConfig, CycleAnalysis};
 use crate::cycle_analysis::{EvidencePath, EvidenceSource};
-use crate::delta::estimate_delta_for_catalog;
 use crate::dynamics::{apply_event_traced, EventEffect, NetworkEvent};
 use crate::feedback::FeedbackObservation;
 use crate::local_graph::{Granularity, VariableKey};
@@ -59,8 +58,8 @@ use crate::priors::PriorStore;
 use crate::routing::{route_query, RoutingOutcome, RoutingPolicy};
 use crate::session::{doomed_additions, EngineBuilder, EngineSession, SplicedParts};
 use pdms_graph::{
-    effective_batch_size, effective_shard_parallelism, effective_splice, run_stealing, DiGraph,
-    EdgeId, IncrementalComponents, MergeOutcome, NodeId, SplitOutcome,
+    effective_shard_parallelism, effective_splice, run_stealing, DiGraph, EdgeId,
+    IncrementalComponents, MergeOutcome, NodeId, SplitOutcome,
 };
 use pdms_schema::{Catalog, MappingId, PeerId, Query};
 use std::collections::{BTreeMap, BTreeSet};
@@ -68,20 +67,21 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Everything needed to build (and re-build, after merges and splits) the
-/// per-component [`EngineSession`]s.
-struct ShardSeed {
-    analysis: AnalysisConfig,
-    granularity: Granularity,
-    backend: Arc<dyn InferenceBackend>,
+/// per-component [`EngineSession`]s; made by
+/// [`EngineBuilder::into_shard_seed`].
+pub(crate) struct ShardSeed {
+    pub(crate) analysis: AnalysisConfig,
+    pub(crate) granularity: Granularity,
+    pub(crate) backend: Arc<dyn InferenceBackend>,
     /// The builder-provided prior store; shard builds remap its snapshot onto
     /// shard-local mapping ids.
-    priors: PriorStore,
+    pub(crate) priors: PriorStore,
     /// The compensating-error probability Δ, pinned at
     /// [`ShardedSession::build`] time (the builder override, else the estimate
     /// over the initial global catalog). Sub-catalogs must not re-estimate Δ from
     /// their own schemas, or per-shard posteriors would diverge from the global
     /// model's.
-    delta: f64,
+    pub(crate) delta: f64,
 }
 
 /// One connected-component shard: the peers it covers and the incremental session
@@ -166,6 +166,10 @@ pub struct BatchReport {
     pub splice_evidence_added: usize,
     /// Inference rounds summed over every dispatched shard.
     pub rounds: usize,
+    /// Dispatched shards (applied, spliced or rebuilt) whose inference ended
+    /// without converging — it hit the backend's round budget, so the shard
+    /// serves posteriors short of their fixpoint.
+    pub unconverged_shards: usize,
     /// Wall time summed over every dispatched shard's apply/splice/rebuild work
     /// (serial-equivalent cost; with parallel dispatch the batch finishes sooner).
     pub shard_time: Duration,
@@ -186,6 +190,7 @@ impl BatchReport {
         self.shards_spliced += other.shards_spliced;
         self.splice_evidence_added += other.splice_evidence_added;
         self.rounds += other.rounds;
+        self.unconverged_shards += other.unconverged_shards;
         self.shard_time += other.shard_time;
         self.slowest_shard = self.slowest_shard.max(other.slowest_shard);
     }
@@ -212,6 +217,8 @@ pub struct ShardedStats {
     pub shards_spliced: usize,
     /// Evidence paths discovered through bridging mappings across all splices.
     pub splice_evidence_added: usize,
+    /// Dispatched shards whose inference ended without converging.
+    pub unconverged_shards: usize,
 }
 
 /// One pending unit of shard work inside a batch dispatch.
@@ -259,6 +266,8 @@ struct ShardOutcome {
     shard: Shard,
     /// Inference rounds the task ran (0 for kept shards).
     rounds: usize,
+    /// Whether the shard's posteriors are converged after the task.
+    converged: bool,
     work: ShardWork,
     /// Wall time of the task on its worker.
     elapsed: Duration,
@@ -399,30 +408,10 @@ impl ShardedSession {
     /// Builds the session: partitions `catalog` into weak components and builds one
     /// engine session per component, dispatched in parallel.
     pub(crate) fn build(builder: EngineBuilder, catalog: Catalog) -> ShardedSession {
-        let parts = builder.into_parts();
-        let delta = parts
-            .delta
-            .unwrap_or_else(|| estimate_delta_for_catalog(&catalog));
-        let seed = ShardSeed {
-            analysis: parts.analysis,
-            granularity: parts.granularity,
-            backend: parts.backend,
-            priors: parts.priors,
-            delta,
-        };
+        let seed = builder.into_shard_seed(&catalog);
         let topology = build_topology(&catalog);
         let components = IncrementalComponents::from_graph(&topology);
-        let partitions: Vec<Vec<PeerId>> = components
-            .partitions()
-            .into_iter()
-            .map(|nodes| nodes.into_iter().map(|n| PeerId(n.0)).collect())
-            .collect();
-        let workers = effective_shard_parallelism(seed.analysis.shard_parallelism);
-        let catalog_ref = &catalog;
-        let seed_ref = &seed;
-        let shards = run_stealing(workers, partitions.len(), |i| {
-            build_shard(catalog_ref, &partitions[i], seed_ref)
-        });
+        let shards = build_shards(&catalog, &components, &seed);
         let mut session = ShardedSession {
             catalog,
             topology,
@@ -573,7 +562,7 @@ impl ShardedSession {
     /// split are rebuilt from the final catalog; shards no event touches are not
     /// visited.
     ///
-    /// Slices longer than the resolved [`AnalysisConfig::batch_size`] are split
+    /// Slices longer than [`AnalysisConfig::batch_size`] (when non-zero) are split
     /// into consecutive batches; the returned report accumulates over them.
     ///
     /// ```
@@ -609,7 +598,7 @@ impl ShardedSession {
     /// assert!(session.posteriors().mapping_probability(MappingId(0)) > 0.5);
     /// ```
     pub fn apply_batch(&mut self, events: &[NetworkEvent]) -> BatchReport {
-        let size = effective_batch_size(self.seed.analysis.batch_size);
+        let size = self.seed.analysis.batch_size;
         let mut report = BatchReport::default();
         if size == 0 || events.len() <= size {
             report.absorb(self.apply_chunk(events));
@@ -674,18 +663,7 @@ impl ShardedSession {
     pub fn rebuild_from_scratch(&mut self) {
         self.topology = build_topology(&self.catalog);
         self.components = IncrementalComponents::from_graph(&self.topology);
-        let partitions: Vec<Vec<PeerId>> = self
-            .components
-            .partitions()
-            .into_iter()
-            .map(|nodes| nodes.into_iter().map(|n| PeerId(n.0)).collect())
-            .collect();
-        let workers = effective_shard_parallelism(self.seed.analysis.shard_parallelism);
-        let catalog = &self.catalog;
-        let seed = &self.seed;
-        self.shards = run_stealing(workers, partitions.len(), |i| {
-            build_shard(catalog, &partitions[i], seed)
-        });
+        self.shards = build_shards(&self.catalog, &self.components, &self.seed);
         self.stats.shard_rebuilds += self.shards.len();
         self.reindex();
         self.remerge();
@@ -778,12 +756,7 @@ impl ShardedSession {
 
         // Reconcile the final partition against the surviving shards and dispatch.
         let splice_enabled = effective_splice(self.seed.analysis.splice);
-        let partitions: Vec<Vec<PeerId>> = self
-            .components
-            .partitions()
-            .into_iter()
-            .map(|nodes| nodes.into_iter().map(|n| PeerId(n.0)).collect())
-            .collect();
+        let partitions = peer_partitions(&self.components);
         let old_shards = std::mem::take(&mut self.shards);
         let mut old_by_first: BTreeMap<PeerId, usize> = BTreeMap::new();
         for (i, shard) in old_shards.iter().enumerate() {
@@ -827,6 +800,7 @@ impl ShardedSession {
                 ShardTask::Keep(shard) => ShardOutcome {
                     shard,
                     rounds: 0,
+                    converged: true,
                     work: ShardWork::Kept,
                     elapsed: Duration::ZERO,
                 },
@@ -835,16 +809,17 @@ impl ShardedSession {
                     ShardOutcome {
                         shard,
                         rounds: apply.rounds,
+                        converged: apply.converged,
                         work: ShardWork::Applied,
                         elapsed: start.elapsed(),
                     }
                 }
                 ShardTask::Build(peers) => {
                     let shard = build_shard(catalog, &peers, seed);
-                    let rounds = shard.session.rounds();
                     ShardOutcome {
+                        rounds: shard.session.rounds(),
+                        converged: shard.session.converged(),
                         shard,
-                        rounds,
                         work: ShardWork::Rebuilt,
                         elapsed: start.elapsed(),
                     }
@@ -865,10 +840,10 @@ impl ShardedSession {
                         .collect();
                     let (shard, evidence_added) =
                         splice_shard(catalog, &peers, &donor_shards, &new_mappings, &edited, seed);
-                    let rounds = shard.session.rounds();
                     ShardOutcome {
+                        rounds: shard.session.rounds(),
+                        converged: shard.session.converged(),
                         shard,
-                        rounds,
                         work: ShardWork::Spliced { evidence_added },
                         elapsed: start.elapsed(),
                     }
@@ -887,6 +862,7 @@ impl ShardedSession {
         self.shards = Vec::with_capacity(results.len());
         for outcome in results {
             report.rounds += outcome.rounds;
+            report.unconverged_shards += usize::from(!outcome.converged);
             report.shard_time += outcome.elapsed;
             report.slowest_shard = report.slowest_shard.max(outcome.elapsed);
             let refresh = match outcome.work {
@@ -937,6 +913,7 @@ impl ShardedSession {
         self.stats.shard_rebuilds += report.shards_rebuilt;
         self.stats.shards_spliced += report.shards_spliced;
         self.stats.splice_evidence_added += report.splice_evidence_added;
+        self.stats.unconverged_shards += report.unconverged_shards;
         report
     }
 
@@ -1193,6 +1170,29 @@ fn remap_priors(seed: &ShardSeed, to_local_mapping: &BTreeMap<MappingId, Mapping
         }
     }
     priors
+}
+
+/// The weak components as ascending peer lists, ordered by their smallest peer.
+fn peer_partitions(components: &IncrementalComponents) -> Vec<Vec<PeerId>> {
+    components
+        .partitions()
+        .into_iter()
+        .map(|nodes| nodes.into_iter().map(|n| PeerId(n.0)).collect())
+        .collect()
+}
+
+/// Builds one shard per weak component cold, dispatched over the
+/// [`AnalysisConfig::shard_parallelism`] worker pool.
+fn build_shards(
+    catalog: &Catalog,
+    components: &IncrementalComponents,
+    seed: &ShardSeed,
+) -> Vec<Shard> {
+    let partitions = peer_partitions(components);
+    let workers = effective_shard_parallelism(seed.analysis.shard_parallelism);
+    run_stealing(workers, partitions.len(), |i| {
+        build_shard(catalog, &partitions[i], seed)
+    })
 }
 
 /// Builds one shard cold from the global catalog: the sub-catalog replicates the

@@ -52,9 +52,8 @@ pub use loops::{
 pub use metrics::{clustering_coefficient, degree_distribution, GraphMetrics};
 pub use parallelism::{
     effective_batch_size, effective_parallelism, effective_shard_parallelism, effective_splice,
-    run_stealing, StealConfig, SubtaskCost, BATCH_SIZE_ENV, DEFAULT_HEAVY_ORIGIN_THRESHOLD,
-    DEFAULT_STEAL_GRANULARITY, HEAVY_ORIGIN_THRESHOLD_ENV, PARALLELISM_ENV, SHARD_PARALLELISM_ENV,
-    SPLICE_ENV, STEAL_GRANULARITY_ENV,
+    run_stealing, StealConfig, SubtaskCost, DEFAULT_HEAVY_ORIGIN_THRESHOLD,
+    DEFAULT_STEAL_GRANULARITY,
 };
 pub use paths::{
     enumerate_parallel_paths, enumerate_parallel_paths_parallel,

@@ -11,9 +11,8 @@
 //! This module therefore provides two things:
 //!
 //! 1. **Worker-count resolution** ([`effective_parallelism`]): one place where the
-//!    `0 = auto` / `PDMS_PARALLELISM` / explicit-count semantics live, so every
-//!    layer — the enumerators, the analysis configuration in `pdms-core`, the engine
-//!    builder — agrees.
+//!    `0 = auto` (every available core) / explicit-count semantics live, so every
+//!    layer — the enumerators, the analysis configuration in `pdms-core` — agrees.
 //! 2. **A work-stealing scheduler** ([`run_stealing`]): enumeration work is cut into
 //!    *subtasks* (a whole light origin, or one first-hop slice of a heavy origin —
 //!    see [`StealConfig`]), all subtasks are pushed through one shared injector, and
@@ -31,122 +30,63 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Environment variable overriding the "auto" worker count.
-pub const PARALLELISM_ENV: &str = "PDMS_PARALLELISM";
-
-/// Environment variable overriding the "auto" steal granularity
-/// ([`StealConfig::steal_granularity`]).
-pub const STEAL_GRANULARITY_ENV: &str = "PDMS_STEAL_GRANULARITY";
-
-/// Environment variable overriding the "auto" heavy-origin threshold
-/// ([`StealConfig::heavy_origin_threshold`]).
-pub const HEAVY_ORIGIN_THRESHOLD_ENV: &str = "PDMS_HEAVY_ORIGIN_THRESHOLD";
-
-/// Environment variable overriding the "auto" worker count for dispatching
-/// component shards (`pdms_core`'s sharded sessions) — distinct from
-/// [`PARALLELISM_ENV`], which fans out *within* one enumeration.
-pub const SHARD_PARALLELISM_ENV: &str = "PDMS_SHARD_PARALLELISM";
-
-/// Environment variable overriding the "auto" ingestion batch size of
-/// `pdms_core`'s sharded sessions (`0` / unset = process each submitted event
-/// slice as one batch).
-pub const BATCH_SIZE_ENV: &str = "PDMS_BATCH_SIZE";
-
-/// Environment variable toggling the warm shard-splice path of `pdms_core`'s
-/// sharded sessions: set to `0`, `false`, `off` or `no` to force cold shard
-/// rebuilds on component merges and splits (the pre-splice fallback). Results
-/// are identical either way — the knob exists so both paths stay exercised and
-/// comparable.
-pub const SPLICE_ENV: &str = "PDMS_SPLICE";
-
-/// Resolves the shard-splice knob: an explicit setting wins, else
-/// [`SPLICE_ENV`] (`0` / `false` / `off` / `no` disable), else enabled.
+/// Resolves the shard-splice knob: an explicit setting wins, else enabled.
 pub fn effective_splice(requested: Option<bool>) -> bool {
-    if let Some(explicit) = requested {
-        return explicit;
-    }
-    match std::env::var(SPLICE_ENV) {
-        Ok(value) => !matches!(
-            value.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
-    }
+    requested.unwrap_or(true)
 }
 
 /// Resolves the shard-dispatch parallelism knob (`0` = auto) to a concrete worker
-/// count (>= 1): an explicit request wins, else [`SHARD_PARALLELISM_ENV`], else
-/// [`std::thread::available_parallelism`]. Scheduling only — shard dispatch order
-/// never affects results.
+/// count (>= 1), like [`effective_parallelism`]. Scheduling only — shard dispatch
+/// order never affects results.
 pub fn effective_shard_parallelism(requested: usize) -> usize {
-    resolve_workers(requested, SHARD_PARALLELISM_ENV)
+    effective_parallelism(requested)
 }
 
-/// Resolves the ingestion batch-size knob (`0` = auto): an explicit request wins,
-/// else [`BATCH_SIZE_ENV`], else `0` (meaning "one batch per submitted slice").
+/// Resolves the ingestion batch-size knob. `0` means "one batch per submitted
+/// slice", so every value already is its own resolution.
 pub fn effective_batch_size(requested: usize) -> usize {
-    if requested >= 1 {
-        return requested;
-    }
-    env_positive(BATCH_SIZE_ENV).unwrap_or(0)
+    requested
 }
 
-/// Default heavy-origin threshold when neither the configuration nor the
-/// environment pins one: origins with at least this many first-hop edges are split.
+/// Heavy-origin threshold used when the configuration leaves it at `0` (auto):
+/// origins with at least this many first-hop edges are split.
 pub const DEFAULT_HEAVY_ORIGIN_THRESHOLD: usize = 4;
 
-/// Default steal granularity when neither the configuration nor the environment
-/// pins one: each stolen subtask of a heavy origin covers this many first-hop edges.
+/// Steal granularity used when the configuration leaves it at `0` (auto): each
+/// stolen subtask of a heavy origin covers this many first-hop edges.
 pub const DEFAULT_STEAL_GRANULARITY: usize = 1;
 
 /// Resolves a parallelism knob (`0` = auto) to a concrete worker count (>= 1).
 ///
 /// * `requested >= 1`: exactly that many workers (`1` = fully serial, no threads
-///   spawned — the mode CI pins with `PDMS_PARALLELISM=1`);
-/// * `requested == 0` ("auto"): the `PDMS_PARALLELISM` environment variable if set
-///   to a positive integer, otherwise [`std::thread::available_parallelism`].
+///   spawned);
+/// * `requested == 0` ("auto"): [`std::thread::available_parallelism`].
 pub fn effective_parallelism(requested: usize) -> usize {
-    resolve_workers(requested, PARALLELISM_ENV)
-}
-
-/// The shared `0 = auto` worker-count resolution: explicit request, else the
-/// given environment variable, else [`std::thread::available_parallelism`].
-fn resolve_workers(requested: usize, env: &str) -> usize {
     if requested >= 1 {
         return requested;
-    }
-    if let Some(n) = env_positive(env) {
-        return n;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
-/// Reads a positive integer from the environment, if present and parsable.
-fn env_positive(name: &str) -> Option<usize> {
-    let value = std::env::var(name).ok()?;
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
-    }
-}
-
 /// How enumeration work is cut into stealable subtasks.
 ///
 /// Both knobs follow the same `0 = auto` convention as the parallelism knob: `0`
-/// consults the corresponding `PDMS_*` environment variable and falls back to the
-/// built-in default. The knobs only affect *scheduling*, never results — the merge
-/// is performed in deterministic origin-then-subtask order at every setting.
+/// selects the built-in default. The knobs only affect *scheduling*, never
+/// results — the merge is performed in deterministic origin-then-subtask order at
+/// every setting.
 ///
 /// ```
-/// use pdms_graph::StealConfig;
+/// use pdms_graph::{StealConfig, DEFAULT_HEAVY_ORIGIN_THRESHOLD, DEFAULT_STEAL_GRANULARITY};
 ///
-/// // The defaults resolve to usable positive values.
-/// let (threshold, granularity) = StealConfig::default().resolved();
-/// assert!(threshold >= 1 && granularity >= 1);
+/// // Auto resolves to the built-in defaults.
+/// assert_eq!(
+///     StealConfig::default().resolved(),
+///     (DEFAULT_HEAVY_ORIGIN_THRESHOLD, DEFAULT_STEAL_GRANULARITY)
+/// );
 ///
-/// // Explicit settings win over environment and defaults.
+/// // Explicit settings win over the defaults.
 /// let pinned = StealConfig { heavy_origin_threshold: 8, steal_granularity: 2 };
 /// assert_eq!(pinned.resolved(), (8, 2));
 /// ```
@@ -154,12 +94,11 @@ fn env_positive(name: &str) -> Option<usize> {
 pub struct StealConfig {
     /// First-hop degree at which an origin counts as *heavy* and is split into
     /// per-first-hop subtasks instead of being scheduled whole. `0` = auto
-    /// (`PDMS_HEAVY_ORIGIN_THRESHOLD`, else [`DEFAULT_HEAVY_ORIGIN_THRESHOLD`]).
+    /// ([`DEFAULT_HEAVY_ORIGIN_THRESHOLD`]).
     pub heavy_origin_threshold: usize,
     /// Number of first-hop edges each stolen subtask of a heavy origin covers.
     /// Smaller values flatten the tail harder at the cost of more scheduling
-    /// overhead. `0` = auto (`PDMS_STEAL_GRANULARITY`, else
-    /// [`DEFAULT_STEAL_GRANULARITY`]).
+    /// overhead. `0` = auto ([`DEFAULT_STEAL_GRANULARITY`]).
     pub steal_granularity: usize,
 }
 
@@ -167,28 +106,11 @@ impl StealConfig {
     /// Resolves both knobs to concrete positive values
     /// (`(heavy_origin_threshold, steal_granularity)`).
     pub fn resolved(&self) -> (usize, usize) {
-        let threshold = if self.heavy_origin_threshold >= 1 {
-            self.heavy_origin_threshold
-        } else {
-            env_positive(HEAVY_ORIGIN_THRESHOLD_ENV).unwrap_or(DEFAULT_HEAVY_ORIGIN_THRESHOLD)
-        };
-        let granularity = if self.steal_granularity >= 1 {
-            self.steal_granularity
-        } else {
-            env_positive(STEAL_GRANULARITY_ENV).unwrap_or(DEFAULT_STEAL_GRANULARITY)
-        };
-        (threshold, granularity)
-    }
-
-    /// A copy of this configuration with both knobs pinned to their resolved
-    /// values. Task-list builders call this once per enumeration so the `0 = auto`
-    /// environment lookups do not repeat per origin.
-    pub fn pinned(&self) -> StealConfig {
-        let (heavy_origin_threshold, steal_granularity) = self.resolved();
-        StealConfig {
-            heavy_origin_threshold,
-            steal_granularity,
-        }
+        let or_default = |value: usize, default: usize| if value >= 1 { value } else { default };
+        (
+            or_default(self.heavy_origin_threshold, DEFAULT_HEAVY_ORIGIN_THRESHOLD),
+            or_default(self.steal_granularity, DEFAULT_STEAL_GRANULARITY),
+        )
     }
 
     /// Splits `hop_count` first-hop edges of one origin into subtask ranges.
@@ -313,15 +235,22 @@ mod tests {
 
     #[test]
     fn auto_is_at_least_one() {
-        // Whatever the environment says, auto resolves to a usable worker count.
-        assert!(effective_parallelism(0) >= 1);
+        // Auto means every available core, for both worker counts.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(effective_parallelism(0), cores);
+        assert_eq!(effective_shard_parallelism(0), cores);
+        // Auto batching is "one batch per submitted slice"; splicing defaults on.
+        assert_eq!(effective_batch_size(0), 0);
+        assert!(effective_splice(None));
+        assert!(!effective_splice(Some(false)));
     }
 
     #[test]
     fn steal_config_resolves_to_positive_values() {
-        let (threshold, granularity) = StealConfig::default().resolved();
-        assert!(threshold >= 1);
-        assert!(granularity >= 1);
+        assert_eq!(
+            StealConfig::default().resolved(),
+            (DEFAULT_HEAVY_ORIGIN_THRESHOLD, DEFAULT_STEAL_GRANULARITY)
+        );
         let pinned = StealConfig {
             heavy_origin_threshold: 9,
             steal_granularity: 3,

@@ -187,7 +187,6 @@ enum PathTaskResult {
 /// The work-stealing task list of one parallel-path enumeration, in
 /// source-then-subtask order.
 fn path_tasks(graph: &DiGraph, workers: usize, steal: &StealConfig) -> Vec<PathTask> {
-    let steal = steal.pinned();
     let mut tasks = Vec::with_capacity(graph.node_count());
     for source in graph.nodes() {
         let ranges = steal.subtask_ranges(graph.out_degree(source), workers);

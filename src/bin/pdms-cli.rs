@@ -81,7 +81,7 @@ USAGE:
                  [--islands <n>] [--hub-exponent <a>] [--parallelism <n>]
                  [--steal-granularity <n>] [--heavy-threshold <n>]
                  [--sharded] [--batch-size <n>] [--shard-parallelism <n>]
-                 [--merge-rate <p>] [--no-splice]
+                 [--merge-rate <p>]
       Generate a synthetic network and drive an incremental engine session through
       epochs of churn (corruptions, repairs, new mappings), printing per epoch how
       much evidence was reused versus invalidated and how many warm-started
@@ -92,23 +92,22 @@ USAGE:
       `--topology islands` generates --islands disjoint Erdos-Renyi communities of
       --peers nodes each (a multi-component network, one shard per island).
       --parallelism / --steal-granularity / --heavy-threshold expose the
-      scheduling knobs (0 = auto via PDMS_PARALLELISM / PDMS_STEAL_GRANULARITY /
-      PDMS_HEAVY_ORIGIN_THRESHOLD).
+      scheduling knobs (0 = auto: every available core, the built-in hub-splitting
+      defaults).
       --sharded switches to the component-sharded engine: one session per weakly
       connected component, batched event ingestion (--batch-size, 0 = one batch
-      per epoch, auto via PDMS_BATCH_SIZE) and parallel shard dispatch
-      (--shard-parallelism, 0 = auto via PDMS_SHARD_PARALLELISM). Posteriors are
-      identical to the single-session engine; the table shows per-epoch shard
-      maintenance (spliced/rebuilt shards, bridge evidence, dispatch timing)
-      instead of evidence reuse.
+      per epoch) and parallel shard dispatch (--shard-parallelism, 0 = every
+      available core). Posteriors are identical to the single-session engine; the
+      table shows per-epoch shard maintenance (spliced/rebuilt shards, bridge
+      evidence, shards left unconverged, dispatch timing) instead of evidence
+      reuse.
       --merge-rate is the probability that a churn epoch adds an island-bridging
       mapping (a component merge, the event the warm splice path exists for;
-      default 0). --no-splice forces cold shard rebuilds on merges and splits
-      (equivalent to PDMS_SPLICE=0); results are identical, only slower.
+      default 0).
 ";
 
 /// Options that are boolean flags (present or absent, no value).
-const FLAGS: &[&str] = &["sharded", "no-splice"];
+const FLAGS: &[&str] = &["sharded"];
 
 #[derive(Debug, Default)]
 struct Options {
@@ -345,7 +344,6 @@ fn churn(options: &Options) -> Result<(), String> {
     let batch_size: usize = options.parsed("batch-size", 0)?;
     let shard_parallelism: usize = options.parsed("shard-parallelism", 0)?;
     let merge_rate: f64 = options.parsed("merge-rate", 0.0)?;
-    let no_splice = options.flag("no-splice");
 
     let topology_name = options.get("topology").unwrap_or("small-world");
     let topology = match topology_name {
@@ -379,7 +377,7 @@ fn churn(options: &Options) -> Result<(), String> {
         heavy_origin_threshold: heavy_threshold,
         shard_parallelism,
         batch_size,
-        splice: if no_splice { Some(false) } else { None },
+        splice: None,
     };
     let builder = Engine::builder()
         .analysis(analysis_config)
@@ -468,7 +466,7 @@ fn churn_sharded(
         ..Default::default()
     });
     println!(
-        "{:>5} {:>7} {:>7} {:>8} {:>8} {:>8} {:>7} {:>7} {:>9} {:>7} {:>9} {:>9}",
+        "{:>5} {:>7} {:>7} {:>8} {:>8} {:>8} {:>7} {:>7} {:>9} {:>7} {:>7} {:>9} {:>9}",
         "epoch",
         "events",
         "shards",
@@ -479,6 +477,7 @@ fn churn_sharded(
         "splits",
         "bridge-ev",
         "rounds",
+        "unconv",
         "shard-ms",
         "worst-ms"
     );
@@ -486,7 +485,7 @@ fn churn_sharded(
         let events = generator.epoch_events(session.catalog());
         let report = session.apply_batch(&events);
         println!(
-            "{epoch:>5} {:>7} {:>7} {:>8} {:>8} {:>8} {:>7} {:>7} {:>9} {:>7} {:>9.2} {:>9.2}",
+            "{epoch:>5} {:>7} {:>7} {:>8} {:>8} {:>8} {:>7} {:>7} {:>9} {:>7} {:>7} {:>9.2} {:>9.2}",
             report.events_applied,
             session.shard_count(),
             report.shards_touched,
@@ -496,6 +495,7 @@ fn churn_sharded(
             report.splits,
             report.splice_evidence_added,
             report.rounds,
+            report.unconverged_shards,
             report.shard_time.as_secs_f64() * 1e3,
             report.slowest_shard.as_secs_f64() * 1e3,
         );
@@ -504,7 +504,7 @@ fn churn_sharded(
     println!(
         "\nsharded totals: {} batches, {} events, {} incremental shard applies, {} warm \
          splices (+{} bridge evidence paths), {} cold shard rebuilds, {} merges, {} splits, \
-         {} coalesced pairs",
+         {} coalesced pairs, {} unconverged shard passes",
         stats.batches,
         stats.events_applied,
         stats.shard_applies,
@@ -514,6 +514,7 @@ fn churn_sharded(
         stats.merges,
         stats.splits,
         stats.mappings_coalesced,
+        stats.unconverged_shards,
     );
     Ok(())
 }

@@ -223,16 +223,20 @@ fn cold_build_is_bit_identical_to_the_single_session() {
 fn shard_parallelism_knob_is_result_invariant() {
     let catalog = islands_network(33);
     let serial = Engine::builder()
-        .analysis(analysis())
+        .analysis(AnalysisConfig {
+            shard_parallelism: 1,
+            ..analysis()
+        })
         .embedded(fixed_rounds())
         .delta(0.1)
-        .shard_parallelism(1)
         .build_sharded(catalog.clone());
     let threaded = Engine::builder()
-        .analysis(analysis())
+        .analysis(AnalysisConfig {
+            shard_parallelism: 4,
+            ..analysis()
+        })
         .embedded(fixed_rounds())
         .delta(0.1)
-        .shard_parallelism(4)
         .build_sharded(catalog.clone());
     assert_eq!(serial.merged_evidences(), threaded.merged_evidences());
     let reference = single(catalog);
@@ -315,65 +319,86 @@ fn churn_epoch(catalog: &Catalog, epoch: usize, seed: u64) -> Vec<NetworkEvent> 
 
 #[test]
 fn random_churn_with_merges_and_splits_stays_exact() {
-    for seed in [5u64, 17] {
-        let catalog = islands_network(seed);
-        // A deep round budget so components run to (or into the last ulp of) their
-        // fixpoints; rounds at an exact fixpoint cost nothing thanks to
-        // change-driven message caching.
-        let deep = EmbeddedConfig {
-            max_rounds: 2500,
-            ..fixed_rounds()
-        };
-        let mut reference = Engine::builder()
-            .analysis(analysis())
-            .embedded(deep.clone())
-            .delta(0.1)
-            .build(catalog.clone());
-        let mut shards = Engine::builder()
-            .analysis(analysis())
-            .embedded(deep)
-            .delta(0.1)
-            .build_sharded(catalog);
-        let mut merges = 0;
-        let mut splits = 0;
-        for epoch in 0..10 {
-            let events = churn_epoch(reference.catalog(), epoch, seed);
-            reference.apply(&events);
-            let report = shards.apply_batch(&events);
-            merges += report.merges;
-            splits += report.splits;
-            // Warm path: exact up to the last-bit limit-cycle phase, which can
-            // compound through the per-variable message product into a handful of
-            // ulps (empirically ≤ 7 across both seeds; 32 leaves margin while
-            // still asserting ~1e-15 relative agreement).
-            assert_posteriors_within_ulps(
+    // Default scheduling, the cold-rebuild fallback (splicing off), and parallel
+    // shard dispatch: all three must stay exact under the same churn.
+    let settings = [
+        ("default", analysis()),
+        (
+            "splice off",
+            AnalysisConfig {
+                splice: Some(false),
+                ..analysis()
+            },
+        ),
+        (
+            "4 dispatch workers",
+            AnalysisConfig {
+                shard_parallelism: 4,
+                ..analysis()
+            },
+        ),
+    ];
+    for (setting, sharded_analysis) in settings {
+        for seed in [5u64, 17] {
+            let catalog = islands_network(seed);
+            // A deep round budget so components run to (or into the last ulp of)
+            // their fixpoints; rounds at an exact fixpoint cost nothing thanks to
+            // change-driven message caching.
+            let deep = EmbeddedConfig {
+                max_rounds: 2500,
+                ..fixed_rounds()
+            };
+            let mut reference = Engine::builder()
+                .analysis(analysis())
+                .embedded(deep.clone())
+                .delta(0.1)
+                .build(catalog.clone());
+            let mut shards = Engine::builder()
+                .analysis(sharded_analysis.clone())
+                .embedded(deep)
+                .delta(0.1)
+                .build_sharded(catalog);
+            let mut merges = 0;
+            let mut splits = 0;
+            for epoch in 0..10 {
+                let context = format!("{setting}, seed {seed} epoch {epoch}");
+                let events = churn_epoch(reference.catalog(), epoch, seed);
+                reference.apply(&events);
+                let report = shards.apply_batch(&events);
+                merges += report.merges;
+                splits += report.splits;
+                // Warm path: exact up to the last-bit limit-cycle phase, which can
+                // compound through the per-variable message product into a handful
+                // of ulps (empirically ≤ 7 across both seeds; 32 leaves margin
+                // while still asserting ~1e-15 relative agreement).
+                assert_posteriors_within_ulps(&reference, &shards, 32, &context);
+                assert_evidence_sets_equal(&reference, &shards, &context);
+                // The partition stays the weak-component decomposition of the
+                // mutated catalog.
+                assert_eq!(
+                    shards.shard_count(),
+                    pdms::graph::connected_components(reference.topology()).len(),
+                    "{context}"
+                );
+            }
+            // The schedule actually exercised the shard lifecycle.
+            assert!(merges > 0, "{setting}, seed {seed}: no merge happened");
+            assert!(splits > 0, "{setting}, seed {seed}: no split happened");
+            // Rebuilding both engines from the churned catalog walks the identical
+            // cold path on both sides: full bit identity, including evidence ids.
+            reference.rebuild_from_scratch();
+            shards.rebuild_from_scratch();
+            assert_posteriors_bit_identical(
                 &reference,
                 &shards,
-                32,
-                &format!("seed {seed} epoch {epoch}"),
+                &format!("{setting}, seed {seed} rebuilt"),
             );
-            assert_evidence_sets_equal(&reference, &shards, &format!("seed {seed} epoch {epoch}"));
-            // The partition stays the weak-component decomposition of the mutated
-            // catalog.
             assert_eq!(
-                shards.shard_count(),
-                pdms::graph::connected_components(reference.topology()).len(),
-                "seed {seed} epoch {epoch}"
+                reference.analysis().evidences,
+                shards.merged_evidences(),
+                "{setting}, seed {seed}: rebuilt evidence ids diverged"
             );
         }
-        // The schedule actually exercised the shard lifecycle.
-        assert!(merges > 0, "seed {seed}: no merge happened");
-        assert!(splits > 0, "seed {seed}: no split happened");
-        // Rebuilding both engines from the churned catalog walks the identical
-        // cold path on both sides: full bit identity, including evidence ids.
-        reference.rebuild_from_scratch();
-        shards.rebuild_from_scratch();
-        assert_posteriors_bit_identical(&reference, &shards, &format!("seed {seed} rebuilt"));
-        assert_eq!(
-            reference.analysis().evidences,
-            shards.merged_evidences(),
-            "seed {seed}: rebuilt evidence ids diverged"
-        );
     }
 }
 
@@ -722,10 +747,12 @@ fn batch_size_knob_chunks_the_stream() {
     use pdms::core::VotingBackend;
     let catalog = islands_network(3);
     let mut chunked = Engine::builder()
-        .analysis(analysis())
+        .analysis(AnalysisConfig {
+            batch_size: 2,
+            ..analysis()
+        })
         .backend(VotingBackend)
         .delta(0.1)
-        .batch_size(2)
         .build_sharded(catalog.clone());
     let mut whole = Engine::builder()
         .analysis(analysis())
@@ -750,4 +777,49 @@ fn batch_size_knob_chunks_the_stream() {
     reference.apply(&events);
     assert_posteriors_bit_identical(&reference, &chunked, "chunked");
     assert_posteriors_bit_identical(&reference, &whole, "whole");
+}
+
+#[test]
+fn batch_report_counts_unconverged_shards() {
+    let catalog = islands_network(21);
+    let corrupt = [NetworkEvent::Corrupt {
+        mapping: MappingId(0),
+        attribute: AttributeId(0),
+        wrong_target: AttributeId(1),
+    }];
+    // One round with a zero tolerance can never converge: the one shard the
+    // corruption touches must be reported.
+    let mut capped = Engine::builder()
+        .analysis(analysis())
+        .embedded(EmbeddedConfig {
+            max_rounds: 1,
+            tolerance: 0.0,
+            ..fixed_rounds()
+        })
+        .delta(0.1)
+        .build_sharded(catalog.clone());
+    let report = capped.apply_batch(&corrupt);
+    assert_eq!(report.shards_touched, 1);
+    assert_eq!(report.unconverged_shards, 1);
+    assert_eq!(capped.stats().unconverged_shards, 1);
+    // Under churn every dispatched shard (applied, spliced or rebuilt) is
+    // counted, and kept shards never are.
+    let mut total = 1;
+    for epoch in 0..4 {
+        let events = churn_epoch(capped.catalog(), epoch, 21);
+        let report = capped.apply_batch(&events);
+        let dispatched = report.shards_touched + report.shards_spliced + report.shards_rebuilt;
+        assert_eq!(report.unconverged_shards, dispatched, "epoch {epoch}");
+        total += dispatched;
+    }
+    assert!(total > 1, "the churn dispatched no shard");
+    assert_eq!(capped.stats().unconverged_shards, total);
+    // The default schedule converges on the same network and batch.
+    let mut converging = Engine::builder()
+        .analysis(analysis())
+        .delta(0.1)
+        .build_sharded(catalog);
+    let report = converging.apply_batch(&corrupt);
+    assert_eq!(report.shards_touched, 1);
+    assert_eq!(report.unconverged_shards, 0);
 }

@@ -14,7 +14,7 @@
 //!   opposite phases of a last-bit limit cycle;
 //! * the end-of-churn `rebuild_from_scratch` closes the loop at full bit
 //!   identity;
-//! * the `PDMS_SPLICE` fallback knob (`EngineBuilder::splice(false)`) walks the
+//! * the fallback knob (`AnalysisConfig { splice: Some(false), .. }`) walks the
 //!   cold path and produces the same results, so both lifecycles stay green.
 
 use pdms::core::{AnalysisConfig, EmbeddedConfig, Engine, NetworkEvent};
@@ -43,12 +43,12 @@ fn analysis() -> AnalysisConfig {
     }
 }
 
-fn sharded(catalog: Catalog, splice: bool) -> ShardedSession {
+/// A sharded session with the default (splicing) lifecycle.
+fn sharded(catalog: Catalog) -> ShardedSession {
     Engine::builder()
         .analysis(analysis())
         .embedded(fixed_rounds())
         .delta(0.1)
-        .splice(splice)
         .build_sharded(catalog)
 }
 
@@ -149,7 +149,7 @@ fn assert_sessions_close(
 #[test]
 fn spliced_merge_matches_cold_rebuild_and_reports_no_rebuilds() {
     let catalog = islands_network(21);
-    let mut spliced = sharded(catalog.clone(), true);
+    let mut spliced = sharded(catalog.clone());
     let shards_before = spliced.shard_count();
     assert!(shards_before >= 3);
 
@@ -170,7 +170,7 @@ fn spliced_merge_matches_cold_rebuild_and_reports_no_rebuilds() {
     // catalog walks the cold path on every shard. The donors were cold-built and
     // this is the first batch, so the splice must match it bit for bit — and
     // hold exactly the same evidence set.
-    let cold = sharded(spliced.catalog().clone(), true);
+    let cold = sharded(spliced.catalog().clone());
     assert_eq!(
         evidence_set(&spliced),
         evidence_set(&cold),
@@ -190,7 +190,7 @@ fn spliced_merge_matches_cold_rebuild_and_reports_no_rebuilds() {
 #[test]
 fn spliced_split_matches_cold_rebuild() {
     let catalog = islands_network(22);
-    let mut session = sharded(catalog, true);
+    let mut session = sharded(catalog);
     let shards_before = session.shard_count();
 
     // Merge two islands, then sever the bridge again: one splice-served merge
@@ -218,7 +218,7 @@ fn spliced_split_matches_cold_rebuild() {
 
     // The catalog is back to (a tombstone-extended copy of) the original islands;
     // a cold session over it is the golden reference.
-    let cold = sharded(session.catalog().clone(), true);
+    let cold = sharded(session.catalog().clone());
     assert_eq!(evidence_set(&session), evidence_set(&cold));
     assert_sessions_close(&session, &cold, 0, 0.0, "split vs cold rebuild");
 }
@@ -237,16 +237,20 @@ fn splice_knob_only_changes_the_path_never_the_result() {
     };
     let catalog = islands_network(23);
     let mut warm = Engine::builder()
-        .analysis(analysis())
+        .analysis(AnalysisConfig {
+            splice: Some(true),
+            ..analysis()
+        })
         .embedded(deep.clone())
         .delta(0.1)
-        .splice(true)
         .build_sharded(catalog.clone());
     let mut cold = Engine::builder()
-        .analysis(analysis())
+        .analysis(AnalysisConfig {
+            splice: Some(false),
+            ..analysis()
+        })
         .embedded(deep)
         .delta(0.1)
-        .splice(false)
         .build_sharded(catalog);
     let first_peers: Vec<PeerId> = warm.shards().iter().map(|s| s.peers()[0]).collect();
     let bridge = MappingId(warm.catalog().mapping_slot_count());
@@ -354,16 +358,20 @@ fn random_structural_churn_stays_inside_the_warm_ulp_envelope() {
             ..fixed_rounds()
         };
         let mut warm = Engine::builder()
-            .analysis(analysis())
+            .analysis(AnalysisConfig {
+                splice: Some(true),
+                ..analysis()
+            })
             .embedded(deep.clone())
             .delta(0.1)
-            .splice(true)
             .build_sharded(catalog.clone());
         let mut cold = Engine::builder()
-            .analysis(analysis())
+            .analysis(AnalysisConfig {
+                splice: Some(false),
+                ..analysis()
+            })
             .embedded(deep.clone())
             .delta(0.1)
-            .splice(false)
             .build_sharded(catalog.clone());
         let mut reference = Engine::builder()
             .analysis(analysis())
@@ -414,7 +422,7 @@ fn spliced_shards_keep_serving_priors_and_incremental_applies() {
     // correspondence churn must keep flowing through the cheap Apply path, and
     // prior lookups must resolve through the remapped tables.
     let catalog = islands_network(29);
-    let mut session = sharded(catalog, true);
+    let mut session = sharded(catalog);
     let first_peers: Vec<PeerId> = session.shards().iter().map(|s| s.peers()[0]).collect();
     let report = session.apply_batch(&[bridge_event(
         session.catalog(),
