@@ -1,16 +1,13 @@
-//! Criterion bench: exact-inference backends (enumeration vs. variable elimination vs.
-//! junction tree) and the loopy approximation, on the growing-cycle models of Figure 8.
+//! Criterion bench: the exact oracle (brute-force enumeration) vs. the loopy
+//! approximation, on the growing-cycle models of Figure 8.
 //!
-//! This is the ablation behind the choice of exact baseline: brute-force enumeration is
-//! exponential in the number of variables, while elimination and junction-tree
-//! propagation only pay for the induced width, which stays tiny on PDMS factor graphs.
+//! This is the ablation behind using loopy belief propagation at all: enumeration is
+//! exponential in the number of variables (and refuses graphs past its cap), while a
+//! bounded number of loopy rounds costs time linear in the factor-graph edges.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdms_core::{AnalysisConfig, CycleAnalysis, Granularity, MappingModel, PriorStore};
-use pdms_factor::{
-    eliminate_marginals, exact_marginals, junction_tree_marginals, run_sum_product,
-    SumProductConfig,
-};
+use pdms_factor::{exact_marginals, run_sum_product, SumProductConfig};
 use pdms_workloads::growing_cycle;
 use std::collections::BTreeMap;
 
@@ -42,16 +39,6 @@ fn bench_exact_backends(c: &mut Criterion) {
                 |b, graph| b.iter(|| exact_marginals(graph)),
             );
         }
-        group.bench_with_input(
-            BenchmarkId::new("elimination", variables),
-            &graph,
-            |b, graph| b.iter(|| eliminate_marginals(graph)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("junction_tree", variables),
-            &graph,
-            |b, graph| b.iter(|| junction_tree_marginals(graph)),
-        );
         group.bench_with_input(
             BenchmarkId::new("loopy_bp", variables),
             &graph,

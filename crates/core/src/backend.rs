@@ -35,7 +35,10 @@ pub struct InferenceTask<'a> {
     pub default_prior: f64,
     /// Posteriors of a previous run on a largely unchanged model, if any. Iterative
     /// backends may use them to warm-start their messages; one-shot backends ignore
-    /// them. Warm starts never change a fixpoint, only how fast it is reached.
+    /// them. A warm run applies the same update equations as a cold one, but on a
+    /// graph where loopy belief propagation has several fixpoints it can settle on a
+    /// different one than the cold run would (see
+    /// [`EmbeddedMessagePassing::warm_start`]).
     pub warm_start: Option<&'a BTreeMap<VariableKey, f64>>,
 }
 
@@ -101,6 +104,13 @@ impl InferenceBackend for EmbeddedBackend {
 }
 
 /// Centralized exact inference (the Figure 9 baseline; exponential in model size).
+///
+/// # Panics
+/// [`InferenceBackend::infer`] panics when the model has more than
+/// [`pdms_factor::exact::MAX_EXACT_VARIABLES`] variables, because the trait has no
+/// error channel. Call [`exact_posteriors`] to get the typed
+/// [`pdms_factor::TooManyVariables`] error instead, or use [`EmbeddedBackend`] on
+/// larger models.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactBackend;
 
@@ -110,7 +120,8 @@ impl InferenceBackend for ExactBackend {
     }
 
     fn infer(&self, task: &InferenceTask<'_>) -> InferenceOutcome {
-        let posteriors = exact_posteriors(task.model, task.priors, task.default_prior);
+        let posteriors = exact_posteriors(task.model, task.priors, task.default_prior)
+            .expect("ExactBackend enumerates at most 24 variables; use EmbeddedBackend");
         InferenceOutcome {
             posteriors,
             rounds: 0,

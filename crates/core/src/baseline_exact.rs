@@ -8,36 +8,37 @@
 
 use crate::local_graph::{MappingModel, VariableKey};
 use crate::posterior::PosteriorTable;
-use pdms_factor::exact_marginals;
+use pdms_factor::{exact_marginals, TooManyVariables};
 use std::collections::BTreeMap;
-
-/// Upper bound on the number of variables the exact baseline will accept (the joint
-/// enumeration is `2^n`).
-pub const MAX_EXACT_MODEL_VARIABLES: usize = pdms_factor::exact::MAX_EXACT_VARIABLES;
 
 /// Runs exact inference on the global factor graph of the model.
 ///
-/// Returns the exact posterior per model variable. Panics (inside the factor crate)
-/// when the model exceeds [`MAX_EXACT_MODEL_VARIABLES`] variables.
+/// Returns the exact posterior per model variable.
+///
+/// # Errors
+/// Returns [`TooManyVariables`] when the model has more variables than enumeration
+/// accepts ([`pdms_factor::exact::MAX_EXACT_VARIABLES`]; the joint enumeration is
+/// `2^n`).
 pub fn exact_posteriors(
     model: &MappingModel,
     priors: &BTreeMap<VariableKey, f64>,
     default_prior: f64,
-) -> Vec<f64> {
-    let graph = model.global_factor_graph(priors, default_prior);
-    let marginals = exact_marginals(&graph);
+) -> Result<Vec<f64>, TooManyVariables> {
     // The global factor graph adds variables in model order, so indices line up.
-    marginals
+    exact_marginals(&model.global_factor_graph(priors, default_prior))
 }
 
 /// Runs exact inference and wraps the result as a [`PosteriorTable`].
+///
+/// # Errors
+/// Returns [`TooManyVariables`] under the same condition as [`exact_posteriors`].
 pub fn exact_posterior_table(
     model: &MappingModel,
     priors: &BTreeMap<VariableKey, f64>,
     default_prior: f64,
-) -> PosteriorTable {
-    let posteriors = exact_posteriors(model, priors, default_prior);
-    PosteriorTable::from_model(model, &posteriors, default_prior)
+) -> Result<PosteriorTable, TooManyVariables> {
+    exact_posteriors(model, priors, default_prior)
+        .map(|posteriors| PosteriorTable::from_model(model, &posteriors, default_prior))
 }
 
 /// Relative error of an approximate posterior vector against the exact one, per
@@ -104,10 +105,26 @@ mod tests {
         let cat = ring_catalog(4, None);
         let analysis = CycleAnalysis::analyze(&cat, &AnalysisConfig::default());
         let model = MappingModel::build(&cat, &analysis, Granularity::Fine, 0.1);
-        let exact = exact_posteriors(&model, &BTreeMap::new(), 0.5);
+        let exact = exact_posteriors(&model, &BTreeMap::new(), 0.5).unwrap();
         assert_eq!(exact.len(), model.variable_count());
         // Everything is correct and feedback positive: every posterior above 0.5.
         assert!(exact.iter().all(|p| *p > 0.5));
+
+        // A 13-peer ring has 13 mappings × 2 attributes = 26 variables, past the cap.
+        let cat = ring_catalog(13, None);
+        let config = AnalysisConfig {
+            max_cycle_len: 13,
+            ..Default::default()
+        };
+        let analysis = CycleAnalysis::analyze(&cat, &config);
+        let model = MappingModel::build(&cat, &analysis, Granularity::Fine, 0.1);
+        assert_eq!(
+            exact_posteriors(&model, &BTreeMap::new(), 0.5),
+            Err(TooManyVariables {
+                variables: 26,
+                limit: pdms_factor::exact::MAX_EXACT_VARIABLES,
+            })
+        );
     }
 
     #[test]
@@ -115,7 +132,7 @@ mod tests {
         let cat = ring_catalog(3, Some(1));
         let analysis = CycleAnalysis::analyze(&cat, &AnalysisConfig::default());
         let model = MappingModel::build(&cat, &analysis, Granularity::Fine, 0.1);
-        let table = exact_posterior_table(&model, &BTreeMap::new(), 0.5);
+        let table = exact_posterior_table(&model, &BTreeMap::new(), 0.5).unwrap();
         assert!(!table.is_empty());
     }
 
@@ -126,7 +143,7 @@ mod tests {
         let analysis = CycleAnalysis::analyze(&cat, &AnalysisConfig::default());
         let model = MappingModel::build(&cat, &analysis, Granularity::Fine, 0.1);
         let priors = BTreeMap::new();
-        let exact = exact_posteriors(&model, &priors, 0.8);
+        let exact = exact_posteriors(&model, &priors, 0.8).unwrap();
         let embedded = run_embedded(&model, &priors, 0.8, EmbeddedConfig::default());
         let mean = mean_relative_error(&exact, &embedded.posteriors);
         assert!(mean < 0.06, "mean relative error {mean}");

@@ -291,11 +291,17 @@ impl<'m> EmbeddedMessagePassing<'m> {
     /// still exist contribute).
     ///
     /// Every remote message about a surviving variable starts at the variable's last
-    /// known posterior belief instead of the unit message. This is a pure
-    /// initialization: the fixpoint of the iteration is unchanged (the same update
-    /// equations are applied), but on a model that changed only locally most messages
-    /// start where they previously converged, so far fewer rounds are needed — the
-    /// warm-start half of incremental session maintenance.
+    /// known posterior belief instead of the unit message. This is only an
+    /// initialization: the same update equations run afterwards, and on a model that
+    /// changed only locally most messages start near where they previously converged,
+    /// so far fewer rounds are needed — the warm-start half of incremental session
+    /// maintenance.
+    ///
+    /// It does not guarantee the cold run's result. On a graph where loopy belief
+    /// propagation has several fixpoints, a warm run can settle on a different one
+    /// than a cold run (the `islands-churn` workload shows this). What bounds the
+    /// difference in practice is the oracle gate of the repository benchmark and the
+    /// warm-versus-cold ulp envelope asserted by `tests/splice.rs`.
     pub fn warm_start(&mut self, previous: &BTreeMap<VariableKey, f64>) {
         for e_idx in 0..self.evidence_count {
             let base = self.msg_offsets[e_idx];
@@ -656,7 +662,7 @@ mod tests {
         let priors = BTreeMap::new();
         let report = run_embedded(&model, &priors, 0.5, EmbeddedConfig::default());
         let graph = model.global_factor_graph(&priors, 0.5);
-        let exact = exact_marginals(&graph);
+        let exact = exact_marginals(&graph).unwrap();
         for (i, key) in model.variables.iter().enumerate() {
             let v = graph.variable_by_name(&key.name()).unwrap();
             assert!(

@@ -4,31 +4,58 @@
 //! (Section 3.1); the paper quantifies the approximation error against "a global
 //! inference process" (Figure 9). This module is that global reference: it enumerates
 //! every joint assignment of the variables, multiplies all factors, and normalises.
-//! The cost is `O(2^n · f)`, fine for the evaluation graphs (a handful to a few dozen
-//! variables) and deliberately simple so it can serve as the trusted oracle in tests.
+//! The cost is `O(2^n · f)`, fine for the evaluation graphs (up to a few dozen
+//! variables) and deliberately simple so it can serve as the crate's one trusted
+//! exact oracle in tests.
 
-use crate::graph::{FactorGraph, VariableId};
+use crate::graph::FactorGraph;
+use std::fmt;
 
 /// Maximum number of variables accepted by [`exact_marginals`]. Beyond this the
 /// enumeration would exceed ~2^24 joint states and the caller almost certainly wants
 /// the iterative engine instead.
 pub const MAX_EXACT_VARIABLES: usize = 24;
 
+/// The graph is too large to enumerate: it has more than [`MAX_EXACT_VARIABLES`]
+/// variables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyVariables {
+    /// Number of variables in the rejected graph.
+    pub variables: usize,
+    /// The largest number of variables enumeration accepts.
+    pub limit: usize,
+}
+
+impl fmt::Display for TooManyVariables {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "exact inference is limited to {} variables, got {}",
+            self.limit, self.variables
+        )
+    }
+}
+
+impl std::error::Error for TooManyVariables {}
+
 /// Computes the exact posterior `P(correct)` of every variable.
 ///
 /// Returns one probability per variable, indexed by `VariableId.0`. Variables not
 /// covered by any factor come out as 0.5.
 ///
-/// # Panics
-/// Panics if the graph has more than [`MAX_EXACT_VARIABLES`] variables.
-pub fn exact_marginals(graph: &FactorGraph) -> Vec<f64> {
+/// # Errors
+/// Returns [`TooManyVariables`] if the graph has more than [`MAX_EXACT_VARIABLES`]
+/// variables.
+pub fn exact_marginals(graph: &FactorGraph) -> Result<Vec<f64>, TooManyVariables> {
     let n = graph.variable_count();
-    assert!(
-        n <= MAX_EXACT_VARIABLES,
-        "exact inference limited to {MAX_EXACT_VARIABLES} variables, got {n}"
-    );
+    if n > MAX_EXACT_VARIABLES {
+        return Err(TooManyVariables {
+            variables: n,
+            limit: MAX_EXACT_VARIABLES,
+        });
+    }
     if n == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let mut correct_mass = vec![0.0f64; n];
     let mut total_mass = 0.0f64;
@@ -60,14 +87,9 @@ pub fn exact_marginals(graph: &FactorGraph) -> Vec<f64> {
     }
     if total_mass <= f64::EPSILON {
         // Fully contradictory evidence: fall back to the uninformative answer.
-        return vec![0.5; n];
+        return Ok(vec![0.5; n]);
     }
-    correct_mass.iter().map(|m| m / total_mass).collect()
-}
-
-/// Exact posterior of a single variable (convenience wrapper).
-pub fn exact_marginal(graph: &FactorGraph, variable: VariableId) -> f64 {
-    exact_marginals(graph)[variable.0]
+    Ok(correct_mass.iter().map(|m| m / total_mass).collect())
 }
 
 #[cfg(test)]
@@ -81,7 +103,7 @@ mod tests {
         let mut g = FactorGraph::new();
         let x = g.add_variable("x");
         g.add_prior(x, 0.8);
-        let m = exact_marginals(&g);
+        let m = exact_marginals(&g).unwrap();
         assert!((m[0] - 0.8).abs() < 1e-12);
     }
 
@@ -92,7 +114,7 @@ mod tests {
         let y = g.add_variable("y");
         g.add_prior(x, 0.9);
         g.add_prior(y, 0.2);
-        let m = exact_marginals(&g);
+        let m = exact_marginals(&g).unwrap();
         assert!((m[x.0] - 0.9).abs() < 1e-12);
         assert!((m[y.0] - 0.2).abs() < 1e-12);
     }
@@ -105,7 +127,7 @@ mod tests {
         g.add_prior(x, 0.5);
         g.add_prior(y, 0.5);
         g.add_factor(Factor::feedback(vec![x, y], true, 0.1));
-        let m = exact_marginals(&g);
+        let m = exact_marginals(&g).unwrap();
         // By hand: states (c,c)=1*0.25, (i,c)=(c,i)=0, (i,i)=0.1*0.25.
         // P(x=c) = 0.25 / 0.275 ≈ 0.9091.
         assert!((m[x.0] - 0.25 / 0.275).abs() < 1e-12);
@@ -120,7 +142,7 @@ mod tests {
         g.add_prior(x, 0.5);
         g.add_prior(y, 0.5);
         g.add_factor(Factor::feedback(vec![x, y], false, 0.1));
-        let m = exact_marginals(&g);
+        let m = exact_marginals(&g).unwrap();
         // States: (c,c)=0, (i,c)=(c,i)=1*0.25, (i,i)=0.9*0.25.
         // P(x=c) = 0.25 / 0.725 ≈ 0.3448.
         assert!((m[x.0] - 0.25 / 0.725).abs() < 1e-12);
@@ -134,36 +156,28 @@ mod tests {
         let x = g.add_variable("x");
         g.add_factor(Factor::prior(x, Belief::from_probability(1.0)));
         g.add_factor(Factor::feedback(vec![x], false, 0.0));
-        let m = exact_marginals(&g);
+        let m = exact_marginals(&g).unwrap();
         assert!((m[0] - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_graph_yields_empty_result() {
         let g = FactorGraph::new();
-        assert!(exact_marginals(&g).is_empty());
+        assert!(exact_marginals(&g).unwrap().is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "limited to")]
-    fn too_many_variables_panic() {
+    fn too_many_variables_is_an_error() {
         let mut g = FactorGraph::new();
         for i in 0..=MAX_EXACT_VARIABLES {
             g.add_variable(format!("v{i}"));
         }
-        exact_marginals(&g);
-    }
-
-    #[test]
-    fn single_variable_wrapper_matches_bulk_result() {
-        let mut g = FactorGraph::new();
-        let x = g.add_variable("x");
-        let y = g.add_variable("y");
-        g.add_prior(x, 0.3);
-        g.add_prior(y, 0.6);
-        g.add_factor(Factor::feedback(vec![x, y], true, 0.2));
-        let bulk = exact_marginals(&g);
-        assert_eq!(exact_marginal(&g, x), bulk[x.0]);
-        assert_eq!(exact_marginal(&g, y), bulk[y.0]);
+        assert_eq!(
+            exact_marginals(&g),
+            Err(TooManyVariables {
+                variables: 25,
+                limit: MAX_EXACT_VARIABLES,
+            })
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! The factor-graph structure: a bipartite graph of variables and factors.
 
 use crate::belief::Belief;
-use crate::factor::{Factor, FactorKind};
+use crate::factor::Factor;
 use std::fmt;
 
 /// Identifier of a variable node.
@@ -153,10 +153,8 @@ impl FactorGraph {
             }
             x
         }
-        let mut edges = 0usize;
         for (fi, fnode) in self.factors.iter().enumerate() {
             for v in fnode.factor.scope() {
-                edges += 1;
                 let a = find(&mut parent, v.0);
                 let b = find(&mut parent, self.variable_count() + fi);
                 if a == b {
@@ -165,7 +163,6 @@ impl FactorGraph {
                 parent[a] = b;
             }
         }
-        let _ = edges;
         true
     }
 
@@ -175,11 +172,6 @@ impl FactorGraph {
         self.variables()
             .filter(|v| self.factors_of(*v).is_empty())
             .collect()
-    }
-
-    /// Kinds of all factors, for reporting.
-    pub fn factor_kinds(&self) -> Vec<FactorKind> {
-        self.factors.iter().map(|f| f.factor.kind()).collect()
     }
 }
 

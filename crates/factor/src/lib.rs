@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Marginal posteriors are then computed with the sum-product algorithm — exactly on
-//! trees, approximately (loopy belief propagation) on graphs with cycles.
+//! trees, approximately (loopy belief propagation) on graphs with cycles — and checked
+//! against one exact oracle, brute-force enumeration.
 //!
 //! This crate is a self-contained implementation of that machinery:
 //!
@@ -23,7 +24,10 @@
 //! * [`graph`] — the bipartite factor-graph structure;
 //! * [`sum_product`] — synchronous, random-order, and residual schedules of loopy
 //!   belief propagation, with damping and convergence detection;
-//! * [`exact`] — brute-force exact marginals used as the reference for Figure 9.
+//! * [`exact`] — brute-force enumeration of exact marginals (at most
+//!   [`exact::MAX_EXACT_VARIABLES`] variables). It is the one exact oracle: the
+//!   reference for Figure 9 and for every test of the loopy engines. Larger graphs get
+//!   a typed [`TooManyVariables`] error; use [`run_sum_product`] beyond the cap.
 //!
 //! The crate is independent of PDMS concepts; `pdms-core` maps mappings and feedback
 //! onto these structures.
@@ -32,25 +36,15 @@
 #![warn(missing_docs)]
 
 pub mod belief;
-pub mod elimination;
 pub mod exact;
 pub mod factor;
 pub mod feedback_factor;
 pub mod graph;
-pub mod junction_tree;
-pub mod max_product;
 pub mod sum_product;
-pub mod tables;
 
 pub use belief::Belief;
-pub use elimination::{
-    eliminate_marginal, eliminate_marginals, induced_width, min_degree_ordering,
-};
-pub use exact::exact_marginals;
+pub use exact::{exact_marginals, TooManyVariables};
 pub use factor::{Factor, FactorKind};
 pub use feedback_factor::{feedback_message, FeedbackSign};
 pub use graph::{FactorGraph, FactorId, VariableId};
-pub use junction_tree::{junction_tree_marginals, JunctionTree, JunctionTreeReport};
-pub use max_product::{map_assignment, map_by_enumeration, MapAssignment};
 pub use sum_product::{run_sum_product, Schedule, SumProduct, SumProductConfig, SumProductReport};
-pub use tables::DenseTable;

@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn exact_on_trees_in_two_iterations() {
         let g = tree_graph();
-        let exact = exact_marginals(&g);
+        let exact = exact_marginals(&g).unwrap();
         let mut engine = SumProduct::new(
             &g,
             SumProductConfig {
@@ -355,7 +355,7 @@ mod tests {
         let g = paper_example(0.8, 0.1);
         let report = run_sum_product(&g, SumProductConfig::default());
         assert!(report.converged, "did not converge in 50 iterations");
-        let exact = exact_marginals(&g);
+        let exact = exact_marginals(&g).unwrap();
         let m24 = g.variable_by_name("m24").unwrap();
         for v in g.variables() {
             if v == m24 {

@@ -352,6 +352,10 @@ pub fn figure7_convergence(prior: f64, delta: f64) -> ScenarioResult {
 /// Figure 9: relative error (embedded vs. exact) on the mappings of the long cycle as
 /// extra peers are spliced into it. `iterations` bounds the embedded rounds, matching
 /// the paper's "10 iterations".
+///
+/// # Panics
+/// Panics if a grown model exceeds the exact enumeration cap of 24 variables
+/// (see [`exact_posteriors`]); `max_extra = 8` stays within it.
 pub fn figure9_relative_error(
     max_extra: usize,
     prior: f64,
@@ -395,7 +399,8 @@ pub fn figure9_relative_error(
                 ..Default::default()
             },
         );
-        let exact = exact_posteriors(&model, &priors, prior);
+        let exact = exact_posteriors(&model, &priors, prior)
+            .expect("max_extra is too large for exact enumeration");
         // Relative error averaged over the correct mappings of the long cycle
         // (attribute Creator), the quantity Figure 9 tracks.
         let mut errors = Vec::new();

@@ -1,41 +1,50 @@
-//! Property-based tests of the probabilistic substrate: on randomly generated factor
-//! graphs the exact backends must agree with one another, and the dense-table algebra
-//! must satisfy the identities variable elimination relies on.
+//! Property-based cross-check of the exact oracle: on randomly generated tree-shaped
+//! factor graphs, where sum-product is exact (Section 3.1), loopy belief propagation
+//! and brute-force enumeration must agree to numerical precision. The two share no
+//! code beyond the factor definitions, so each checks the other.
 
 use pdms::factor::{
-    eliminate_marginals, exact_marginals, junction_tree_marginals, map_assignment,
-    map_by_enumeration, DenseTable, Factor, FactorGraph, VariableId,
+    exact_marginals, run_sum_product, Factor, FactorGraph, SumProductConfig, VariableId,
 };
 use proptest::prelude::*;
 
-/// Strategy: a random factor graph over `n ≤ 8` binary variables with priors on every
-/// variable and a handful of feedback factors over random scopes.
-fn factor_graph_strategy() -> impl Strategy<Value = FactorGraph> {
-    let variables = 2usize..8;
-    variables.prop_flat_map(|n| {
-        let priors = prop::collection::vec(0.02f64..0.98, n);
-        let factors = prop::collection::vec(
-            (
-                prop::collection::btree_set(0..n, 2..=n.min(4)),
-                prop::bool::ANY,
-                0.01f64..0.5,
-            ),
-            1..4,
-        );
-        (priors, factors).prop_map(move |(priors, factors)| {
-            let mut graph = FactorGraph::new();
-            let ids: Vec<VariableId> = (0..n)
-                .map(|i| graph.add_variable(format!("x{i}")))
-                .collect();
-            for (id, p) in ids.iter().zip(&priors) {
-                graph.add_prior(*id, *p);
+/// Most variables a generated tree may have.
+const MAX_TREE_VARIABLES: usize = 12;
+
+/// Strategy: a random tree-shaped factor graph with a prior on every variable. Each
+/// feedback factor joins one already-covered variable with 1–3 new ones, so no factor
+/// closes a cycle; generation stops at [`MAX_TREE_VARIABLES`] variables.
+fn tree_strategy() -> impl Strategy<Value = FactorGraph> {
+    let factors = prop::collection::vec(
+        (
+            0usize..MAX_TREE_VARIABLES,
+            1usize..=3,
+            prop::bool::ANY,
+            0.01f64..0.5,
+        ),
+        1..8,
+    );
+    let priors = prop::collection::vec(0.02f64..0.98, MAX_TREE_VARIABLES);
+    (factors, priors).prop_map(|(factors, priors)| {
+        let mut graph = FactorGraph::new();
+        let mut ids = vec![graph.add_variable("x0")];
+        for (anchor, new, positive, delta) in factors {
+            let new = new.min(MAX_TREE_VARIABLES - ids.len());
+            if new == 0 {
+                break;
             }
-            for (scope, positive, delta) in factors {
-                let scope: Vec<VariableId> = scope.into_iter().map(|i| ids[i]).collect();
-                graph.add_factor(Factor::feedback(scope, positive, delta));
+            let mut scope: Vec<VariableId> = vec![ids[anchor % ids.len()]];
+            for _ in 0..new {
+                let id = graph.add_variable(format!("x{}", ids.len()));
+                ids.push(id);
+                scope.push(id);
             }
-            graph
-        })
+            graph.add_factor(Factor::feedback(scope, positive, delta));
+        }
+        for (id, p) in ids.iter().zip(&priors) {
+            graph.add_prior(*id, *p);
+        }
+        graph
     })
 }
 
@@ -43,82 +52,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn exact_backends_agree_on_random_models(graph in factor_graph_strategy()) {
-        let enumeration = exact_marginals(&graph);
-        let elimination = eliminate_marginals(&graph);
-        let junction = junction_tree_marginals(&graph);
-        for ((a, b), c) in enumeration.iter().zip(&elimination).zip(&junction) {
-            prop_assert!((a - b).abs() < 1e-8, "enumeration {} vs elimination {}", a, b);
-            prop_assert!((a - c).abs() < 1e-8, "enumeration {} vs junction tree {}", a, c);
-        }
-    }
-
-    #[test]
-    fn map_weight_matches_enumeration_on_random_models(graph in factor_graph_strategy()) {
-        let fast = map_assignment(&graph);
-        let slow = map_by_enumeration(&graph);
-        prop_assert!((fast.weight - slow.weight).abs() < 1e-9,
-            "max-product weight {} vs enumeration {}", fast.weight, slow.weight);
-        // The elimination MAP's own weight must evaluate to what it claims.
-        let mut weight = 1.0;
-        for f in graph.factors() {
-            let assignment: Vec<usize> = graph.scope_of(f).iter().map(|v| fast.states[v.0]).collect();
-            weight *= graph.factor(f).evaluate(&assignment);
-        }
-        prop_assert!((weight - fast.weight).abs() < 1e-9);
-    }
-
-    #[test]
-    fn table_product_is_commutative_up_to_scope_order(
-        left_values in prop::collection::vec(0.0f64..4.0, 4),
-        right_values in prop::collection::vec(0.0f64..4.0, 4),
-    ) {
-        // Tables over (x0, x1) and (x1, x2).
-        let left = DenseTable::new(vec![VariableId(0), VariableId(1)], left_values);
-        let right = DenseTable::new(vec![VariableId(1), VariableId(2)], right_values);
-        let ab = left.multiply(&right);
-        let ba = right.multiply(&left);
-        // Same function, possibly different scope order: compare on every assignment.
-        for x0 in 0..2usize {
-            for x1 in 0..2usize {
-                for x2 in 0..2usize {
-                    let value_ab = {
-                        let states: Vec<usize> = ab.scope().iter().map(|v| [x0, x1, x2][v.0]).collect();
-                        ab.value_at(&states)
-                    };
-                    let value_ba = {
-                        let states: Vec<usize> = ba.scope().iter().map(|v| [x0, x1, x2][v.0]).collect();
-                        ba.value_at(&states)
-                    };
-                    prop_assert!((value_ab - value_ba).abs() < 1e-12);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn summing_out_in_any_order_gives_the_same_scalar(
-        values in prop::collection::vec(0.0f64..4.0, 8),
-    ) {
-        let table = DenseTable::new(vec![VariableId(0), VariableId(1), VariableId(2)], values);
-        let total_012 = table.sum_out(VariableId(0)).sum_out(VariableId(1)).sum_out(VariableId(2)).scalar();
-        let total_210 = table.sum_out(VariableId(2)).sum_out(VariableId(1)).sum_out(VariableId(0)).scalar();
-        let direct: f64 = table.values().iter().sum();
-        prop_assert!((total_012 - direct).abs() < 1e-9);
-        prop_assert!((total_210 - direct).abs() < 1e-9);
-    }
-
-    #[test]
-    fn restriction_and_summation_commute(values in prop::collection::vec(0.0f64..4.0, 8)) {
-        // Σ_{x1} f(x0, x1, x2)|x2=s  ==  (Σ_{x1} f)(x0, x2)|x2=s
-        let table = DenseTable::new(vec![VariableId(0), VariableId(1), VariableId(2)], values);
-        for state in 0..2usize {
-            let restrict_then_sum = table.restrict(VariableId(2), state).sum_out(VariableId(1));
-            let sum_then_restrict = table.sum_out(VariableId(1)).restrict(VariableId(2), state);
-            prop_assert_eq!(restrict_then_sum.scope(), sum_then_restrict.scope());
-            for (a, b) in restrict_then_sum.values().iter().zip(sum_then_restrict.values()) {
-                prop_assert!((a - b).abs() < 1e-9);
-            }
+    fn sum_product_matches_enumeration_on_random_trees(graph in tree_strategy()) {
+        prop_assert!(graph.is_tree());
+        let exact = exact_marginals(&graph).unwrap();
+        let report = run_sum_product(&graph, SumProductConfig {
+            max_iterations: 64,
+            tolerance: 0.0,
+            ..Default::default()
+        });
+        for v in graph.variables() {
+            let (e, s) = (exact[v.0], report.posterior(v));
+            prop_assert!((e - s).abs() < 1e-9, "{}: enumeration {} vs sum-product {}", v, e, s);
         }
     }
 }

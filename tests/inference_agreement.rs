@@ -1,18 +1,13 @@
-//! Cross-crate agreement of the inference backends.
+//! Cross-crate agreement of the inference backends on models built from catalogs.
 //!
-//! The same probabilistic model is evaluated by brute-force enumeration, variable
-//! elimination, junction-tree propagation, and loopy belief propagation; the exact
-//! backends must agree to numerical precision, the loopy approximation must stay close
-//! (the property Figure 9 measures), and the MAP assignment must blame exactly the
-//! mappings whose marginal falls below one half whenever the evidence is clear-cut.
+//! Brute-force enumeration, the one exact oracle, evaluates the same probabilistic
+//! model as loopy belief propagation: the loopy approximation must stay close to it
+//! (the property Figure 9 measures), and the exact marginals must blame exactly the
+//! corrupted mapping when the evidence is clear-cut.
 
-use pdms::core::{AnalysisConfig, CycleAnalysis, Granularity, MappingModel};
-use pdms::factor::{
-    eliminate_marginals, exact_marginals, junction_tree_marginals, map_assignment, run_sum_product,
-    SumProductConfig,
-};
+use pdms::core::{AnalysisConfig, CycleAnalysis, Granularity, MappingModel, VariableKey};
+use pdms::factor::{exact_marginals, run_sum_product, SumProductConfig};
 use pdms::schema::{AttributeId, Catalog, PeerId};
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// Builds a ring catalog of `peers` peers over `attributes` attributes, with the listed
@@ -53,25 +48,11 @@ fn model_for(catalog: &Catalog) -> MappingModel {
 }
 
 #[test]
-fn exact_backends_agree_on_the_ring_with_one_error() {
-    let catalog = ring_catalog(4, 3, &[(2, 1)]);
-    let model = model_for(&catalog);
-    let graph = model.global_factor_graph(&BTreeMap::new(), 0.6);
-    let enumeration = exact_marginals(&graph);
-    let elimination = eliminate_marginals(&graph);
-    let junction = junction_tree_marginals(&graph);
-    for ((a, b), c) in enumeration.iter().zip(&elimination).zip(&junction) {
-        assert!((a - b).abs() < 1e-9, "enumeration {a} vs elimination {b}");
-        assert!((a - c).abs() < 1e-9, "enumeration {a} vs junction tree {c}");
-    }
-}
-
-#[test]
 fn loopy_bp_stays_close_to_exact_on_the_ring() {
     let catalog = ring_catalog(5, 3, &[(1, 0)]);
     let model = model_for(&catalog);
     let graph = model.global_factor_graph(&BTreeMap::new(), 0.7);
-    let exact = eliminate_marginals(&graph);
+    let exact = exact_marginals(&graph).expect("the 15-variable ring is under the cap");
     let loopy = run_sum_product(&graph, SumProductConfig::default());
     assert!(loopy.converged);
     for (e, l) in exact.iter().zip(&loopy.posteriors) {
@@ -83,64 +64,29 @@ fn loopy_bp_stays_close_to_exact_on_the_ring() {
 }
 
 #[test]
-fn map_assignment_blames_the_corrupted_mapping() {
+fn exact_marginals_blame_the_corrupted_chord() {
     // The introductory-network shape: a ring plus a faulty chord. The chord is the only
-    // mapping shared by every negative observation, so both the marginals and the MAP
-    // assignment must single it out.
+    // mapping shared by every negative observation, so the exact marginals must single
+    // out its corrupted attribute and keep every other variable clearly correct.
     let mut catalog = ring_catalog(4, 3, &[]);
-    let chord_source = PeerId(1);
-    let chord_target = PeerId(3);
-    catalog.add_mapping(chord_source, chord_target, |m| {
+    let chord = catalog.add_mapping(PeerId(1), PeerId(3), |m| {
         m.erroneous(AttributeId(0), AttributeId(1), AttributeId(0))
             .correct(AttributeId(1), AttributeId(1))
             .correct(AttributeId(2), AttributeId(2))
     });
     let model = model_for(&catalog);
     let graph = model.global_factor_graph(&BTreeMap::new(), 0.6);
-    let map = map_assignment(&graph);
-    let marginals = eliminate_marginals(&graph);
-    // Every variable the marginals call clearly faulty (< 0.4) must be incorrect in the
-    // MAP assignment, and every clearly-correct one (> 0.6) must be correct.
-    for (index, key) in model.variables.iter().enumerate() {
-        if marginals[index] < 0.4 {
-            assert!(
-                !map.is_correct(pdms::factor::VariableId(index)),
-                "variable {key:?} has marginal {} but MAP says correct",
-                marginals[index]
-            );
-        }
-        if marginals[index] > 0.6 {
-            assert!(map.is_correct(pdms::factor::VariableId(index)));
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Elimination and junction-tree propagation agree on randomly corrupted rings of
-    /// random size (enumeration is skipped: the fine model can exceed its 24-variable
-    /// cap).
-    #[test]
-    fn elimination_and_junction_tree_agree_on_random_rings(
-        peers in 3usize..6,
-        attributes in 2usize..4,
-        errors in prop::collection::vec((0usize..6, 0usize..4), 0..3),
-    ) {
-        let errors: Vec<(usize, usize)> = errors
-            .into_iter()
-            .map(|(m, a)| (m % peers, a % attributes))
-            .collect();
-        let catalog = ring_catalog(peers, attributes, &errors);
-        let model = model_for(&catalog);
-        if model.variable_count() == 0 {
-            return Ok(());
-        }
-        let graph = model.global_factor_graph(&BTreeMap::new(), 0.5);
-        let elimination = eliminate_marginals(&graph);
-        let junction = junction_tree_marginals(&graph);
-        for (a, b) in elimination.iter().zip(&junction) {
-            prop_assert!((a - b).abs() < 1e-8, "elimination {} vs junction tree {}", a, b);
+    let marginals = exact_marginals(&graph).expect("the chorded ring is under the cap");
+    let faulty = VariableKey {
+        mapping: chord,
+        attribute: Some(AttributeId(0)),
+    };
+    assert!(model.variables.contains(&faulty));
+    for (key, p) in model.variables.iter().zip(&marginals) {
+        if *key == faulty {
+            assert!(*p < 0.4, "corrupted chord {key:?} has marginal {p}");
+        } else {
+            assert!(*p > 0.6, "variable {key:?} has marginal {p}");
         }
     }
 }

@@ -85,7 +85,7 @@ proptest! {
             record_history: false,
             ..Default::default()
         });
-        let exact = exact_marginals(&model.global_factor_graph(&priors, prior));
+        let exact = exact_marginals(&model.global_factor_graph(&priors, prior)).unwrap();
         for (a, b) in embedded.posteriors.iter().zip(&exact) {
             prop_assert!((a - b).abs() < 1e-6, "embedded {a} vs exact {b}");
         }
