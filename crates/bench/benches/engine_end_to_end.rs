@@ -27,11 +27,10 @@ fn bench_engine(c: &mut Criterion) {
                         ..Default::default()
                     })
                     .embedded(EmbeddedConfig {
-                        record_history: false,
                         max_rounds: 30,
                         ..Default::default()
                     })
-                    .build(network.catalog.clone())
+                    .build_sharded(network.catalog.clone())
             })
         });
     }

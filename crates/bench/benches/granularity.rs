@@ -29,11 +29,10 @@ fn bench_granularity(c: &mut Criterion) {
                             ..Default::default()
                         })
                         .embedded(EmbeddedConfig {
-                            record_history: false,
                             max_rounds: 20,
                             ..Default::default()
                         })
-                        .build(suite.catalog.clone())
+                        .build_sharded(suite.catalog.clone())
                 })
             },
         );

@@ -1,5 +1,5 @@
 //! Criterion bench: incremental session delta-apply vs. full recompute under the
-//! synthetic churn workload — the cost argument behind `EngineSession`.
+//! synthetic churn workload — the cost argument behind `ShardedSession::apply_batch`.
 //!
 //! For each network size, one epoch of churn events is drawn once; the
 //! `full_recompute` series replays the events onto a catalog and builds a fresh
@@ -11,9 +11,7 @@
 //! `heavy` rows rewrite a large fraction of the network, the worst case for reuse.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdms_core::{
-    apply_event, AnalysisConfig, EmbeddedConfig, Engine, EngineBuilder, EngineSession, NetworkEvent,
-};
+use pdms_core::{apply_event, AnalysisConfig, Engine, EngineBuilder, NetworkEvent, ShardedSession};
 use pdms_graph::GeneratorConfig;
 use pdms_schema::Catalog;
 use pdms_workloads::{ChurnConfig, ChurnGenerator, SyntheticConfig, SyntheticNetwork};
@@ -27,19 +25,8 @@ fn analysis_config() -> AnalysisConfig {
     }
 }
 
-fn embedded_config() -> EmbeddedConfig {
-    EmbeddedConfig {
-        record_history: false,
-        max_rounds: 100,
-        ..Default::default()
-    }
-}
-
 fn builder() -> EngineBuilder {
-    Engine::builder()
-        .analysis(analysis_config())
-        .embedded(embedded_config())
-        .delta(0.1)
+    Engine::builder().analysis(analysis_config()).delta(0.1)
 }
 
 fn network(peers: usize) -> SyntheticNetwork {
@@ -78,7 +65,7 @@ fn bench_pair(
     group: &mut criterion::BenchmarkGroup<'_>,
     label: &str,
     base: &SyntheticNetwork,
-    session: &EngineSession,
+    session: &ShardedSession,
     events: &[NetworkEvent],
 ) {
     group.bench_with_input(
@@ -90,7 +77,7 @@ fn bench_pair(
                 for event in events {
                     apply_event(&mut catalog, event);
                 }
-                builder().build(catalog)
+                builder().build_sharded(catalog)
             })
         },
     );
@@ -102,7 +89,7 @@ fn bench_pair(
         |b, _| {
             b.iter(|| {
                 let mut session = session.clone();
-                session.apply(events);
+                session.apply_batch(events);
                 session.posteriors().len()
             })
         },
@@ -114,7 +101,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
     group.sample_size(20);
     for &peers in &[16usize, 24, 32] {
         let base = network(peers);
-        let session = builder().build(base.catalog.clone());
+        let session = builder().build_sharded(base.catalog.clone());
         let light = light_churn(&base.catalog, 11 + peers as u64);
         bench_pair(
             &mut group,

@@ -14,10 +14,9 @@
 //! dispatch tail modeled from serially measured per-shard cold-build costs.
 
 use pdms_bench::shard_scaling::{
-    best_of, modeled_dispatch_tail, per_shard_build_costs, standard_fixtures, time_sharded_churn,
-    time_sharded_per_event, time_single_build, time_single_churn,
+    best_of, build_sharded, modeled_dispatch_tail, per_shard_build_costs, standard_fixtures,
+    time_sharded_churn, time_sharded_per_event, time_single_build, time_single_churn,
 };
-use pdms_core::Engine;
 
 const REPEATS: usize = 5;
 const WORKER_POOLS: [usize; 4] = [1, 2, 4, 8];
@@ -26,11 +25,7 @@ fn main() {
     let mut entries = Vec::new();
     for fixture in standard_fixtures() {
         eprintln!("measuring {} ...", fixture.name);
-        let sharded = Engine::builder()
-            .analysis(pdms_bench::shard_scaling::bench_analysis())
-            .embedded(pdms_bench::shard_scaling::bench_embedded())
-            .delta(0.1)
-            .build_sharded(fixture.catalog.clone());
+        let sharded = build_sharded(&fixture);
         let components = sharded.shard_count();
         let evidences = sharded.evidence_count();
         let events: usize = fixture.epochs.iter().map(Vec::len).sum();

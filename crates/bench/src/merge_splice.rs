@@ -44,7 +44,6 @@ pub use crate::shard_scaling::bench_analysis;
 pub fn bench_embedded() -> EmbeddedConfig {
     EmbeddedConfig {
         max_rounds: 60,
-        record_history: false,
         ..Default::default()
     }
 }

@@ -27,9 +27,7 @@
 //!    first idle worker); the modeled tail is the maximum per-worker busy time.
 //!    This mirrors the `enumeration_tail` methodology, sound on 1-core hosts.
 
-use pdms_core::{
-    AnalysisConfig, EmbeddedConfig, Engine, EngineSession, NetworkEvent, ShardedSession,
-};
+use pdms_core::{AnalysisConfig, Engine, EngineSession, NetworkEvent, ShardedSession};
 use pdms_workloads::{hub_heavy_network, multi_component_network, ChurnConfig, ChurnGenerator};
 use std::time::{Duration, Instant};
 
@@ -50,15 +48,6 @@ pub fn bench_analysis() -> AnalysisConfig {
         max_path_len: 3,
         parallelism: 1,
         shard_parallelism: 1,
-        ..Default::default()
-    }
-}
-
-/// Embedded configuration shared by every measurement: deterministic reliable
-/// delivery, history off.
-pub fn bench_embedded() -> EmbeddedConfig {
-    EmbeddedConfig {
-        record_history: false,
         ..Default::default()
     }
 }
@@ -120,7 +109,6 @@ fn churn_epochs(
 pub fn build_single(fixture: &Fixture) -> EngineSession {
     Engine::builder()
         .analysis(bench_analysis())
-        .embedded(bench_embedded())
         .delta(0.1)
         .build(fixture.catalog.clone())
 }
@@ -129,7 +117,6 @@ pub fn build_single(fixture: &Fixture) -> EngineSession {
 pub fn build_sharded(fixture: &Fixture) -> ShardedSession {
     Engine::builder()
         .analysis(bench_analysis())
-        .embedded(bench_embedded())
         .delta(0.1)
         .build_sharded(fixture.catalog.clone())
 }
@@ -176,7 +163,7 @@ pub fn time_single_build(fixture: &Fixture) -> Duration {
     start.elapsed()
 }
 
-/// Measures each shard's cold-build cost serially: one `EngineSession::build`
+/// Measures each shard's cold-build cost serially: one one-shard session build
 /// over each shard's sub-catalog, one at a time on the calling thread.
 pub fn per_shard_build_costs(fixture: &Fixture) -> Vec<Duration> {
     let sharded = build_sharded(fixture);
@@ -189,9 +176,8 @@ pub fn per_shard_build_costs(fixture: &Fixture) -> Vec<Duration> {
             std::hint::black_box(
                 Engine::builder()
                     .analysis(bench_analysis())
-                    .embedded(bench_embedded())
                     .delta(0.1)
-                    .build(sub),
+                    .build_sharded(sub),
             );
             start.elapsed()
         })

@@ -66,6 +66,10 @@ pub trait InferenceBackend: fmt::Debug + Send + Sync {
 }
 
 /// The paper's decentralized embedded message passing (Section 4.3).
+///
+/// [`InferenceOutcome`] carries no trajectory, so the backend always runs with
+/// [`EmbeddedConfig::record_history`] off whatever the config says; call
+/// [`crate::embedded::run_embedded`] for the round-by-round history.
 #[derive(Debug, Clone, Default)]
 pub struct EmbeddedBackend {
     /// Message-passing parameters (rounds, tolerance, loss model).
@@ -89,7 +93,10 @@ impl InferenceBackend for EmbeddedBackend {
             task.model,
             task.priors,
             task.default_prior,
-            self.config.clone(),
+            EmbeddedConfig {
+                record_history: false,
+                ..self.config.clone()
+            },
         );
         if let Some(previous) = task.warm_start {
             machine.warm_start(previous);

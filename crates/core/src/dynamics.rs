@@ -8,7 +8,7 @@
 //! a coherent state and the potential gain in terms of relevance of results" as an open
 //! question. This module provides the machinery to study that trade-off: a
 //! [`DynamicPdms`] owns an evolving catalog, applies [`NetworkEvent`]s, builds one
-//! cold [`crate::session::EngineSession`] per epoch with prior carry-over, and
+//! cold [`crate::sharding::ShardedSession`] per epoch with prior carry-over, and
 //! records per-epoch detection quality, posterior drift, and maintenance cost. The
 //! incremental sessions consume the same events through [`apply_event_traced`].
 
@@ -424,11 +424,21 @@ impl DynamicPdms {
             .engine
             .clone()
             .priors(self.priors.clone())
-            .build(self.catalog.clone());
+            .build_sharded(self.catalog.clone());
         let evaluation = session.evaluate(self.config.theta);
 
-        // Maintenance cost of the current evidence structure.
-        let overhead = communication_overhead(&self.catalog, session.analysis(), session.model());
+        // Maintenance cost of the current evidence structure. A peer's remote
+        // partners all lie in its own component, so the per-shard counts sum to
+        // the whole catalog's.
+        let messages_per_round = session
+            .shards()
+            .iter()
+            .map(|shard| {
+                let engine = shard.session();
+                communication_overhead(engine.catalog(), engine.analysis(), engine.model())
+                    .total_messages_per_round
+            })
+            .sum();
 
         // Posterior drift against the previous epoch.
         let drift = match &self.previous_posteriors {
@@ -447,11 +457,11 @@ impl DynamicPdms {
             events_applied: self.pending_events,
             mappings: self.catalog.mapping_count(),
             erroneous_mappings: self.catalog.erroneous_mapping_count(),
-            evidence_paths: session.analysis().evidences.len(),
+            evidence_paths: session.evidence_count(),
             rounds: session.rounds(),
             evaluation,
             posterior_drift: drift,
-            messages_per_round: overhead.total_messages_per_round,
+            messages_per_round,
         };
         self.pending_events = 0;
         self.previous_posteriors = Some(session.posteriors().clone());

@@ -24,8 +24,9 @@
 //!    per-attribute thresholds θ ([`posterior`], [`routing`]);
 //! 7. and evaluates the result against ground truth ([`metrics`]).
 //!
-//! Every run goes through one driver, the incremental **engine session**
-//! ([`session`]), configured by one value, the [`EngineBuilder`]:
+//! Every program runs one session type, the component-sharded incremental
+//! [`ShardedSession`] ([`sharding`]), configured by one value, the
+//! [`EngineBuilder`]:
 //!
 //! ```
 //! use pdms_core::{Engine, Granularity, NetworkEvent};
@@ -46,10 +47,10 @@
 //! let mut session = Engine::builder()
 //!     .granularity(Granularity::Fine)
 //!     .delta(0.1)
-//!     .build(catalog);
+//!     .build_sharded(catalog);
 //! // The network evolves; only the affected evidence is recomputed and the
 //! // message passing restarts warm.
-//! session.apply(&[NetworkEvent::Corrupt {
+//! session.apply_batch(&[NetworkEvent::Corrupt {
 //!     mapping: pdms_schema::MappingId(0),
 //!     attribute: AttributeId(0),
 //!     wrong_target: AttributeId(1),
@@ -58,10 +59,14 @@
 //! ```
 //!
 //! A one-shot run is a build followed by reads of the session; the cold
-//! [`EngineSession::rebuild_from_scratch`] is the reference the incremental path is
-//! validated against. [`ShardedSession`] runs one session per weakly connected
-//! component, and [`dynamics::DynamicPdms`] layers epoch-based evaluation on top
-//! (one cold session per epoch). The crate also provides the paper's
+//! [`ShardedSession::rebuild_from_scratch`] is the reference the incremental path
+//! is validated against. The session keeps one prior store keyed by global ids
+//! ([`ShardedSession::priors`]) and runs one [`EngineSession`] per weakly
+//! connected component. `EngineSession` and [`EngineBuilder::build`] stay public
+//! as that per-shard engine and as the whole-catalog reference the sharded
+//! session's tests and the `shard_scaling` baseline compare against.
+//! [`dynamics::DynamicPdms`] layers epoch-based evaluation on top (one cold
+//! session per epoch). The crate also provides the paper's
 //! operational extensions: adaptive probe-TTL expansion ([`ttl_expansion`]),
 //! communication-overhead accounting ([`overhead`]), and the evolving-network
 //! machinery ([`dynamics`]). `pdms-workloads` produces catalogs to feed it and

@@ -14,6 +14,7 @@
 //! accumulates.
 
 use crate::local_graph::VariableKey;
+use pdms_schema::MappingId;
 use std::collections::BTreeMap;
 
 /// Per-variable prior store with evidence accumulation.
@@ -104,6 +105,30 @@ impl PriorStore {
     pub fn snapshot(&self) -> BTreeMap<VariableKey, f64> {
         self.priors.clone()
     }
+
+    /// Copies every entry of `source`'s variables on mapping `from` into this store
+    /// under mapping `to`, priors and observation counts alike. This is how a shard
+    /// projects the global store onto its local mapping ids (see
+    /// [`crate::sharding::ShardedSession::priors`]).
+    pub(crate) fn copy_mapping(&mut self, source: &PriorStore, from: MappingId, to: MappingId) {
+        let first = VariableKey {
+            mapping: from,
+            attribute: None,
+        };
+        for (key, p) in source
+            .priors
+            .range(first..)
+            .take_while(|(k, _)| k.mapping == from)
+        {
+            let local = VariableKey {
+                mapping: to,
+                attribute: key.attribute,
+            };
+            self.priors.insert(local, *p);
+            self.observations
+                .insert(local, source.observation_count(key));
+        }
+    }
 }
 
 impl Default for PriorStore {
@@ -115,7 +140,7 @@ impl Default for PriorStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdms_schema::{AttributeId, MappingId};
+    use pdms_schema::AttributeId;
 
     fn key(m: usize) -> VariableKey {
         VariableKey {

@@ -1,35 +1,43 @@
-//! Engine sessions: builder-constructed, delta-driven, batch-routing.
+//! The engine builder and the per-shard engine session.
 //!
 //! The paper's pipeline — evidence discovery, the per-peer model (Section 4.1),
-//! inference (Sections 4.2–4.3), the prior update (Section 4.4) and routing — runs
-//! through one driver, the [`EngineSession`]. Recomputing everything on every change
-//! cannot scale to evolving networks where each epoch changes a handful of mappings
-//! out of thousands, so a session is:
+//! inference (Sections 4.2–4.3), the prior update (Section 4.4) and routing — is
+//! configured by one value, the [`EngineBuilder`], and served by one session type,
+//! the [`crate::sharding::ShardedSession`] that
+//! [`EngineBuilder::build_sharded`] returns. Recomputing everything on every
+//! change cannot scale to evolving networks where each epoch changes a handful of
+//! mappings out of thousands, so a session is:
 //!
 //! * **built once** from a catalog via the builder
-//!   (`Engine::builder().granularity(..).backend(..).build(catalog)`), running the
-//!   full pipeline a single time — [`EngineBuilder`] is the one configuration value;
-//! * **updated by deltas**: [`EngineSession::apply`] consumes
-//!   [`NetworkEvent`]s (peer/mapping additions, removals, corruptions, repairs — the
-//!   Section 4.4 dynamics) and invalidates only the cycles and parallel paths that
-//!   touch the changed mappings. Additions search just the paths through the new
-//!   edge, removals drop just the paths through the dead edge, correspondence edits
-//!   re-observe just the paths through the edited mapping — everything else is
-//!   reused verbatim;
+//!   (`Engine::builder().granularity(..).backend(..).build_sharded(catalog)`),
+//!   running the full pipeline a single time;
+//! * **updated by deltas**: [`crate::sharding::ShardedSession::apply_batch`]
+//!   consumes [`NetworkEvent`]s (peer/mapping additions, removals, corruptions,
+//!   repairs — the Section 4.4 dynamics) and invalidates only the cycles and
+//!   parallel paths that touch the changed mappings. Additions search just the
+//!   paths through the new edge, removals drop just the paths through the dead
+//!   edge, correspondence edits re-observe just the paths through the edited
+//!   mapping — everything else is reused verbatim;
 //! * **warm-started**: iterative backends restart message passing from the previous
 //!   posteriors ([`crate::embedded::EmbeddedMessagePassing::warm_start`]), so
-//!   inference after a local change takes a fraction of the cold-start rounds;
-//! * **batch-routing**: [`EngineSession::route_all`] answers a whole query workload
-//!   against one cached posterior snapshot instead of rebuilding the posterior table
-//!   per query.
+//!   inference after a local change takes a fraction of the cold-start rounds.
 //!
-//! The session always reaches the same posteriors as a from-scratch build on the
-//! mutated catalog (exactly for one-shot backends, to convergence tolerance for
-//! iterative ones) — `tests/session_incremental.rs` asserts this round trip against
-//! [`EngineSession::rebuild_from_scratch`], the one cold path.
+//! Routing and evaluation read the session's posterior snapshot through
+//! [`crate::routing::route_query`] and [`crate::metrics::precision_recall`].
+//!
+//! The [`EngineSession`] defined here is the engine each shard runs over its
+//! component's sub-catalog. It stays public, and [`EngineBuilder::build`] with it,
+//! because it is also the whole-catalog reference: `tests/sharded_session.rs`,
+//! `tests/session_incremental.rs` and `tests/splice.rs` compare the sharded session
+//! against it, and the `shard_scaling` emitter times it as its single-session
+//! baseline. An incremental session always reaches the same posteriors as a
+//! from-scratch build on the mutated catalog (exactly for one-shot backends, to
+//! convergence tolerance for iterative ones) — `tests/session_incremental.rs`
+//! asserts this round trip against [`EngineSession::rebuild_from_scratch`], the one
+//! cold path.
 //!
 //! ```
-//! use pdms_core::Engine;
+//! use pdms_core::{Engine, NetworkEvent};
 //! use pdms_schema::{AttributeId, Catalog, MappingId};
 //!
 //! // Two peers, one correct and one faulty mapping between them and back.
@@ -39,10 +47,17 @@
 //! catalog.add_mapping(a, b, |m| m.correct(AttributeId(0), AttributeId(0)));
 //! catalog.add_mapping(b, a, |m| m.erroneous(AttributeId(0), AttributeId(1), AttributeId(0)));
 //!
-//! let session = Engine::builder().build(catalog);
+//! let mut session = Engine::builder().build_sharded(catalog);
 //! // The cycle a -> b -> a returns attribute y instead of x: negative feedback, both
 //! // mappings become suspicious (no other evidence distinguishes them).
 //! assert!(session.posteriors().mapping_probability(MappingId(0)) < 0.5);
+//!
+//! // Repairing the faulty correspondence re-observes the cycle in place.
+//! session.apply_batch(&[NetworkEvent::Repair {
+//!     mapping: MappingId(1),
+//!     attribute: AttributeId(0),
+//! }]);
+//! assert!(session.posteriors().mapping_probability(MappingId(0)) > 0.5);
 //! ```
 
 use crate::backend::{EmbeddedBackend, InferenceBackend, InferenceTask};
@@ -54,13 +69,11 @@ use crate::dynamics::{
 };
 use crate::embedded::EmbeddedConfig;
 use crate::local_graph::{Granularity, MappingModel, VariableKey};
-use crate::metrics::{precision_recall, EvaluationReport};
 use crate::posterior::PosteriorTable;
 use crate::priors::PriorStore;
-use crate::routing::{route_query, RoutingOutcome, RoutingPolicy};
 use crate::sharding::ShardSeed;
 use pdms_graph::{DiGraph, EdgeId, NodeId};
-use pdms_schema::{Catalog, PeerId, Query};
+use pdms_schema::{Catalog, MappingId, PeerId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -87,7 +100,7 @@ impl Engine {
     ///     .granularity(Granularity::Fine)
     ///     .backend(ExactBackend)
     ///     .delta(0.1)
-    ///     .build(catalog);
+    ///     .build_sharded(catalog);
     /// assert!(session.posteriors().mapping_probability(pdms_schema::MappingId(0)) > 0.5);
     /// ```
     pub fn builder() -> EngineBuilder {
@@ -138,11 +151,11 @@ impl EngineBuilder {
     ///         steal_granularity: 1,
     ///         ..Default::default()
     ///     })
-    ///     .build(catalog.clone());
+    ///     .build_sharded(catalog.clone());
     /// let serial = Engine::builder()
     ///     .analysis(AnalysisConfig { parallelism: 1, ..Default::default() })
-    ///     .build(catalog);
-    /// assert_eq!(fine.analysis().evidences.len(), serial.analysis().evidences.len());
+    ///     .build_sharded(catalog);
+    /// assert_eq!(fine.merged_evidences(), serial.merged_evidences());
     /// ```
     pub fn analysis(mut self, analysis: AnalysisConfig) -> Self {
         self.analysis = analysis;
@@ -189,8 +202,14 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the session: runs the full pipeline once over `catalog` and caches
-    /// analysis, model and posteriors for incremental maintenance.
+    /// Builds one whole-catalog [`EngineSession`]: runs the full pipeline once over
+    /// `catalog` and caches analysis, model and posteriors for incremental
+    /// maintenance.
+    ///
+    /// Programs serve a catalog with [`EngineBuilder::build_sharded`]. This method
+    /// stays public because it builds the engine each shard runs and the
+    /// whole-catalog reference that the sharded session's equivalence tests and
+    /// the `shard_scaling` emitter's single-session baseline compare against.
     pub fn build(self, catalog: Catalog) -> EngineSession {
         let backend = self.resolve_backend();
         let mut session = EngineSession {
@@ -213,12 +232,12 @@ impl EngineBuilder {
         session
     }
 
-    /// Builds a component-sharded session instead: the catalog is partitioned into
+    /// Builds the serving session: the catalog is partitioned into
     /// weakly-connected-component shards, each running its own incremental
     /// [`EngineSession`], dispatched in parallel over
     /// [`AnalysisConfig::shard_parallelism`] workers. Exact by construction —
-    /// evidence paths never cross component boundaries. See
-    /// [`crate::sharding::ShardedSession`].
+    /// evidence paths never cross component boundaries. A connected catalog is one
+    /// shard. See [`crate::sharding::ShardedSession`].
     pub fn build_sharded(self, catalog: Catalog) -> crate::sharding::ShardedSession {
         crate::sharding::ShardedSession::build(self, catalog)
     }
@@ -237,19 +256,19 @@ impl EngineBuilder {
     }
 
     /// The per-shard configuration of a [`crate::sharding::ShardedSession`] over
-    /// `catalog`, with Δ resolved: the pinned value, else the estimate over
-    /// `catalog`.
-    pub(crate) fn into_shard_seed(self, catalog: &Catalog) -> ShardSeed {
+    /// `catalog`, with Δ resolved (the pinned value, else the estimate over
+    /// `catalog`), and the prior store the session starts from.
+    pub(crate) fn into_shard_seed(self, catalog: &Catalog) -> (ShardSeed, PriorStore) {
         let backend = self.resolve_backend();
-        ShardSeed {
+        let seed = ShardSeed {
             analysis: self.analysis,
             granularity: self.granularity,
             backend,
-            priors: self.priors.unwrap_or_default(),
             delta: self
                 .delta
                 .unwrap_or_else(|| estimate_delta_for_catalog(catalog)),
-        }
+        };
+        (seed, self.priors.unwrap_or_default())
     }
 }
 
@@ -370,7 +389,13 @@ pub struct SessionStats {
     pub evidences_reobserved: usize,
 }
 
-/// A stateful, incrementally maintained inference session over an evolving catalog.
+/// A stateful, incrementally maintained inference session over an evolving catalog:
+/// the engine each shard of a [`crate::sharding::ShardedSession`] runs.
+///
+/// Programs use the sharded session. `EngineSession` stays public because it is
+/// also the whole-catalog reference that `tests/sharded_session.rs`,
+/// `tests/session_incremental.rs` and `tests/splice.rs` compare the sharded session
+/// against, and the single-session baseline of the `shard_scaling` emitter.
 #[derive(Debug, Clone)]
 pub struct EngineSession {
     catalog: Catalog,
@@ -461,14 +486,22 @@ impl EngineSession {
         &self.posteriors
     }
 
-    /// The accumulated prior store.
+    /// The accumulated prior store. Inside a shard this is the shard's projection
+    /// of the sharded session's global store onto shard-local mapping ids.
     pub fn priors(&self) -> &PriorStore {
         &self.priors
     }
 
-    /// Mutable prior access (e.g. to pin expert-validated mappings).
-    pub fn priors_mut(&mut self) -> &mut PriorStore {
-        &mut self.priors
+    /// Copies the global store's entries for mapping `global` into this session's
+    /// store under `local` — how a shard picks up the priors of a mapping that an
+    /// incremental apply is about to add.
+    pub(crate) fn copy_mapping_priors(
+        &mut self,
+        global_priors: &PriorStore,
+        global: MappingId,
+        local: MappingId,
+    ) {
+        self.priors.copy_mapping(global_priors, global, local);
     }
 
     /// Name of the inference backend in use.
@@ -658,37 +691,13 @@ impl EngineSession {
     }
 
     /// Folds the current posteriors back into the priors (the Section 4.4 update), so
-    /// subsequent inference starts from the accumulated evidence.
-    pub fn update_priors(&mut self) {
+    /// subsequent inference starts from the accumulated evidence. Returns the folded
+    /// posteriors, keyed like this session's model, so a sharded session can fold
+    /// the same observations into its global store.
+    pub(crate) fn update_priors(&mut self) -> BTreeMap<VariableKey, f64> {
         let as_map = self.posteriors.as_variable_map(&self.model);
         self.priors.update_all(&as_map);
-    }
-
-    /// Routes one query from `origin` against the cached posterior snapshot.
-    pub fn route(&self, origin: PeerId, query: &Query, policy: &RoutingPolicy) -> RoutingOutcome {
-        route_query(&self.catalog, &self.posteriors, origin, query, policy)
-    }
-
-    /// Routes a whole workload of `(origin, query)` pairs against one cached
-    /// posterior snapshot — the batch entry point that avoids any per-query posterior
-    /// rebuild.
-    pub fn route_all(
-        &self,
-        requests: &[(PeerId, Query)],
-        policy: &RoutingPolicy,
-    ) -> Vec<RoutingOutcome> {
-        requests
-            .iter()
-            .map(|(origin, query)| {
-                route_query(&self.catalog, &self.posteriors, *origin, query, policy)
-            })
-            .collect()
-    }
-
-    /// Evaluates erroneous-mapping detection at threshold θ against ground truth,
-    /// using the cached posteriors.
-    pub fn evaluate(&self, theta: f64) -> EvaluationReport {
-        precision_recall(&self.catalog, &self.posteriors, theta)
+        as_map
     }
 
     /// Discards every cache and recomputes the full pipeline (the non-incremental
@@ -734,7 +743,9 @@ impl EngineSession {
 mod tests {
     use super::*;
     use crate::backend::{ExactBackend, VotingBackend};
-    use pdms_schema::{AttributeId, MappingId, Predicate};
+    use crate::metrics::precision_recall;
+    use crate::routing::{route_query, RoutingPolicy};
+    use pdms_schema::{AttributeId, Predicate, Query};
 
     /// The introductory network over the given attributes: the ring p1 → p2 → p3 →
     /// p4 → p1 of correct mappings plus the chord m24 (p2 → p4), whose first
@@ -894,22 +905,19 @@ mod tests {
     }
 
     #[test]
-    fn route_all_reuses_one_snapshot() {
+    fn routing_from_p2_avoids_the_faulty_chord() {
         let session = exact_session();
         let query = Query::new()
             .project(AttributeId(0))
             .select(AttributeId(1), Predicate::Contains("river".into()));
-        let requests: Vec<(PeerId, Query)> = (0..4).map(|p| (PeerId(p), query.clone())).collect();
-        let outcomes = session.route_all(&requests, &RoutingPolicy::uniform(0.5));
-        assert_eq!(outcomes.len(), 4);
-        // Each batched outcome matches the per-query entry point.
-        for ((origin, query), batched) in requests.iter().zip(&outcomes) {
-            let single = session.route(*origin, query, &RoutingPolicy::uniform(0.5));
-            assert_eq!(single.reached, batched.reached);
-            assert_eq!(single.tainted, batched.tainted);
-        }
-        // Routing from p2 avoids the faulty chord.
-        assert!(!outcomes[1]
+        let outcome = route_query(
+            session.catalog(),
+            session.posteriors(),
+            PeerId(1),
+            &query,
+            &RoutingPolicy::uniform(0.5),
+        );
+        assert!(!outcome
             .decisions
             .iter()
             .any(|d| d.mapping == MappingId(4) && d.forwarded));
@@ -934,7 +942,6 @@ mod tests {
         let capped = Engine::builder()
             .embedded(EmbeddedConfig {
                 max_rounds: 2,
-                record_history: false,
                 ..Default::default()
             })
             .delta(0.1)
@@ -1078,12 +1085,18 @@ mod tests {
         let query = Query::new()
             .project(AttributeId(0))
             .select(AttributeId(1), Predicate::Contains("river".into()));
-        let outcome = session.route(PeerId(1), &query, &RoutingPolicy::uniform(0.5));
+        let outcome = route_query(
+            session.catalog(),
+            session.posteriors(),
+            PeerId(1),
+            &query,
+            &RoutingPolicy::uniform(0.5),
+        );
         assert_eq!(outcome.reached.len(), 3);
         assert!(outcome.tainted.is_empty());
         assert!(!outcome.forwarded_mappings().contains(&MappingId(4)));
         // Evaluation: precision 1.0 at θ = 0.5 (only the truly faulty pair is flagged).
-        let eval = session.evaluate(0.5);
+        let eval = precision_recall(session.catalog(), session.posteriors(), 0.5);
         assert_eq!(eval.true_positives, 1);
         assert_eq!(eval.false_positives, 0);
         assert_eq!(eval.precision(), 1.0);
@@ -1112,7 +1125,7 @@ mod tests {
         // so a slightly cautious threshold (0.55) wrongly flags them too — exactly the
         // weakness Section 6 describes — while the probabilistic engine keeps them
         // above 0.5 (see `full_pipeline_detects_the_faulty_mapping_and_routes_around_it`).
-        let eval = voting.evaluate(0.55);
+        let eval = precision_recall(voting.catalog(), voting.posteriors(), 0.55);
         assert!(eval.flagged() > 1, "flagged {}", eval.flagged());
         assert!(eval.precision() < 1.0);
     }

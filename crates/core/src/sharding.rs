@@ -45,6 +45,14 @@
 //! falls back to cold rebuilds; results are identical either way. See
 //! `docs/SHARDING.md` for the lifecycle, the exactness argument and a worked
 //! event trace.
+//!
+//! The session keeps **one prior store** ([`ShardedSession::priors`]), keyed by
+//! global ids and carrying the observation count of every prior, so the Section
+//! 4.4 running average P = (1/k)·ΣPᵢ survives every structural change. Cold
+//! builds, splices and [`ShardedSession::rebuild_from_scratch`] hand each shard
+//! a projection of that store onto its local mapping ids (values and counts), and
+//! [`ShardedSession::update_priors`] folds every shard's posteriors into the
+//! global store and the shard's projection alike.
 
 use crate::backend::InferenceBackend;
 use crate::cycle_analysis::{build_topology, AnalysisConfig, CycleAnalysis};
@@ -69,13 +77,11 @@ use std::time::{Duration, Instant};
 /// Everything needed to build (and re-build, after merges and splits) the
 /// per-component [`EngineSession`]s; made by
 /// [`EngineBuilder::into_shard_seed`].
+#[derive(Clone)]
 pub(crate) struct ShardSeed {
     pub(crate) analysis: AnalysisConfig,
     pub(crate) granularity: Granularity,
     pub(crate) backend: Arc<dyn InferenceBackend>,
-    /// The builder-provided prior store; shard builds remap its snapshot onto
-    /// shard-local mapping ids.
-    pub(crate) priors: PriorStore,
     /// The compensating-error probability Δ, pinned at
     /// [`ShardedSession::build`] time (the builder override, else the estimate
     /// over the initial global catalog). Sub-catalogs must not re-estimate Δ from
@@ -281,7 +287,7 @@ struct ShardOutcome {
 /// `Apply` task are moved out (the worker needs ownership), so a dispatched
 /// shard's event buffer is rebuilt next batch; everything else retains its
 /// capacity.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct BatchScratch {
     /// Queued shard-local events, indexed by shard.
     queued: Vec<Vec<NetworkEvent>>,
@@ -328,7 +334,9 @@ impl BatchScratch {
     }
 }
 
-/// A component-sharded incremental inference session over an evolving catalog.
+/// A component-sharded incremental inference session over an evolving catalog —
+/// the session every program serves a catalog with (a connected catalog is one
+/// shard).
 ///
 /// Built with [`crate::session::Engine::builder`]`.build_sharded(catalog)`. Exact by
 /// construction: evidence paths never cross weak-component boundaries, so
@@ -373,7 +381,7 @@ impl BatchScratch {
 /// assert!(session.posteriors().mapping_probability(MappingId(0)) < 0.5);
 /// assert!(session.posteriors().mapping_probability(MappingId(2)) > 0.5);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ShardedSession {
     catalog: Catalog,
     /// Live mirror of the global mapping network (edge ids = mapping ids,
@@ -387,6 +395,9 @@ pub struct ShardedSession {
     /// Global (live) mapping id → index into `shards`.
     mapping_shard: BTreeMap<MappingId, usize>,
     seed: ShardSeed,
+    /// The one prior store, keyed by global ids; every shard holds a projection of
+    /// it onto its local ids.
+    priors: PriorStore,
     /// Posterior snapshot merged over all shards, keyed by global ids.
     merged: PosteriorTable,
     stats: ShardedStats,
@@ -408,10 +419,10 @@ impl ShardedSession {
     /// Builds the session: partitions `catalog` into weak components and builds one
     /// engine session per component, dispatched in parallel.
     pub(crate) fn build(builder: EngineBuilder, catalog: Catalog) -> ShardedSession {
-        let seed = builder.into_shard_seed(&catalog);
+        let (seed, priors) = builder.into_shard_seed(&catalog);
         let topology = build_topology(&catalog);
         let components = IncrementalComponents::from_graph(&topology);
-        let shards = build_shards(&catalog, &components, &seed);
+        let shards = build_shards(&catalog, &components, &seed, &priors);
         let mut session = ShardedSession {
             catalog,
             topology,
@@ -420,6 +431,7 @@ impl ShardedSession {
             peer_shard: Vec::new(),
             mapping_shard: BTreeMap::new(),
             seed,
+            priors,
             merged: PosteriorTable::new(0.5),
             stats: ShardedStats::default(),
             scratch: BatchScratch::default(),
@@ -455,10 +467,42 @@ impl ShardedSession {
     }
 
     /// The merged posterior snapshot, keyed by global mapping ids — what routing
-    /// and evaluation run against. Identical to the table a single
-    /// [`EngineSession`] over the whole catalog serves.
+    /// and evaluation run against. It holds the same entries as the table a single
+    /// [`EngineSession`] over the whole catalog serves; the values are identical on
+    /// a one-shard catalog or with a convergence tolerance of 0, and agree to the
+    /// backend's tolerance otherwise (a shard stops iterating when *its* messages
+    /// settle, the whole-catalog session when every component's have).
     pub fn posteriors(&self) -> &PosteriorTable {
         &self.merged
+    }
+
+    /// The prior store, keyed by global ids: the builder's priors plus every
+    /// observation [`ShardedSession::update_priors`] folded in, with their counts.
+    pub fn priors(&self) -> &PriorStore {
+        &self.priors
+    }
+
+    /// Rounds of the latest inference pass, the maximum over shards (the round at
+    /// which a whole-catalog pass over the same components would have stopped).
+    pub fn rounds(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.session.rounds())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Whether every shard's latest inference pass converged.
+    pub fn converged(&self) -> bool {
+        self.shards.iter().all(|s| s.session.converged())
+    }
+
+    /// Model variables summed over all shards (each variable lives in exactly one).
+    pub fn variable_count(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.session.model().variable_count())
+            .sum()
     }
 
     /// Δ in effect: pinned at build time (builder override, else the estimate over
@@ -610,46 +654,27 @@ impl ShardedSession {
         report
     }
 
-    /// Folds every shard's posteriors back into its priors (the Section 4.4
-    /// update), shard by shard.
+    /// Folds every shard's posteriors into the prior store (the Section 4.4
+    /// update): the global store and each shard's projection take the same
+    /// observations, so later applies, splices and rebuilds all start from the
+    /// accumulated evidence.
     pub fn update_priors(&mut self) {
         for shard in &mut self.shards {
-            shard.session.update_priors();
-        }
-    }
-
-    /// The prior currently in effect for a global `(mapping, attribute)` variable.
-    pub fn prior(&self, key: &VariableKey) -> f64 {
-        match self.mapping_shard.get(&key.mapping) {
-            Some(&idx) => {
-                let shard = &self.shards[idx];
-                let local = VariableKey {
-                    mapping: shard.to_local_mapping[&key.mapping],
+            for (key, p) in shard.session.update_priors() {
+                let global = VariableKey {
+                    mapping: shard.global_mapping(key.mapping),
                     attribute: key.attribute,
                 };
-                shard.session.priors().prior(&local)
+                self.priors.update(global, p);
             }
-            None => self.seed.priors.default_prior(),
         }
     }
 
-    /// Routes one query from `origin` against the merged posterior snapshot — the
-    /// global catalog and global identifiers, exactly like
-    /// [`EngineSession::route`].
+    /// Routes one query from `origin` against the merged posterior snapshot, with
+    /// the global catalog and global identifiers — [`route_query`] over
+    /// [`ShardedSession::catalog`] and [`ShardedSession::posteriors`].
     pub fn route(&self, origin: PeerId, query: &Query, policy: &RoutingPolicy) -> RoutingOutcome {
         route_query(&self.catalog, &self.merged, origin, query, policy)
-    }
-
-    /// Routes a whole workload against one merged posterior snapshot.
-    pub fn route_all(
-        &self,
-        requests: &[(PeerId, Query)],
-        policy: &RoutingPolicy,
-    ) -> Vec<RoutingOutcome> {
-        requests
-            .iter()
-            .map(|(origin, query)| route_query(&self.catalog, &self.merged, *origin, query, policy))
-            .collect()
     }
 
     /// Evaluates erroneous-mapping detection at threshold θ against ground truth,
@@ -663,7 +688,7 @@ impl ShardedSession {
     pub fn rebuild_from_scratch(&mut self) {
         self.topology = build_topology(&self.catalog);
         self.components = IncrementalComponents::from_graph(&self.topology);
-        self.shards = build_shards(&self.catalog, &self.components, &self.seed);
+        self.shards = build_shards(&self.catalog, &self.components, &self.seed, &self.priors);
         self.stats.shard_rebuilds += self.shards.len();
         self.reindex();
         self.remerge();
@@ -786,6 +811,7 @@ impl ShardedSession {
             tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let catalog = &self.catalog;
         let seed = &self.seed;
+        let priors = &self.priors;
         // Broken shards were never taken out of `old_slots`, so splice tasks can
         // read their donors through this shared view while dispatch runs.
         let donor_pool = &old_slots;
@@ -815,7 +841,7 @@ impl ShardedSession {
                     }
                 }
                 ShardTask::Build(peers) => {
-                    let shard = build_shard(catalog, &peers, seed);
+                    let shard = build_shard(catalog, &peers, seed, priors);
                     ShardOutcome {
                         rounds: shard.session.rounds(),
                         converged: shard.session.converged(),
@@ -838,8 +864,15 @@ impl ShardedSession {
                                 .expect("donor shards survive until dispatch")
                         })
                         .collect();
-                    let (shard, evidence_added) =
-                        splice_shard(catalog, &peers, &donor_shards, &new_mappings, &edited, seed);
+                    let (shard, evidence_added) = splice_shard(
+                        catalog,
+                        &peers,
+                        &donor_shards,
+                        &new_mappings,
+                        &edited,
+                        seed,
+                        priors,
+                    );
                     ShardOutcome {
                         rounds: shard.session.rounds(),
                         converged: shard.session.converged(),
@@ -1008,6 +1041,11 @@ impl ShardedSession {
         shard.to_global_mapping.push(mapping);
         debug_assert_eq!(shard.to_global_mapping.len() - 1, local_id.0);
         shard.to_local_mapping.insert(mapping, local_id);
+        // Priors the global store already holds for the new id (a builder prior
+        // set ahead of the mapping's arrival) reach the shard's projection too.
+        shard
+            .session
+            .copy_mapping_priors(&self.priors, mapping, local_id);
         self.mapping_shard.insert(mapping, idx);
         self.scratch.queue(
             idx,
@@ -1080,7 +1118,7 @@ impl ShardedSession {
     /// Rebuilds the merged posterior snapshot from the shard tables (global keys;
     /// deterministic, since keys are disjoint across shards).
     fn remerge(&mut self) {
-        let mut merged = PosteriorTable::new(self.seed.priors.default_prior());
+        let mut merged = PosteriorTable::new(self.priors.default_prior());
         for shard in &self.shards {
             fill_from_shard(&mut merged, shard);
         }
@@ -1155,21 +1193,17 @@ fn copy_mapping_into(
     })
 }
 
-/// Remaps the builder-provided prior store onto shard-local mapping ids.
-fn remap_priors(seed: &ShardSeed, to_local_mapping: &BTreeMap<MappingId, MappingId>) -> PriorStore {
-    let mut priors = PriorStore::with_default(seed.priors.default_prior());
-    for (key, p) in seed.priors.snapshot() {
-        if let Some(&local) = to_local_mapping.get(&key.mapping) {
-            priors.set_initial(
-                VariableKey {
-                    mapping: local,
-                    attribute: key.attribute,
-                },
-                p,
-            );
-        }
+/// Projects the global prior store onto a shard's local mapping ids, keeping
+/// every prior's observation count.
+fn project_priors(
+    priors: &PriorStore,
+    to_local_mapping: &BTreeMap<MappingId, MappingId>,
+) -> PriorStore {
+    let mut local = PriorStore::with_default(priors.default_prior());
+    for (&global, &mapping) in to_local_mapping {
+        local.copy_mapping(priors, global, mapping);
     }
-    priors
+    local
 }
 
 /// The weak components as ascending peer lists, ordered by their smallest peer.
@@ -1187,11 +1221,12 @@ fn build_shards(
     catalog: &Catalog,
     components: &IncrementalComponents,
     seed: &ShardSeed,
+    priors: &PriorStore,
 ) -> Vec<Shard> {
     let partitions = peer_partitions(components);
     let workers = effective_shard_parallelism(seed.analysis.shard_parallelism);
     run_stealing(workers, partitions.len(), |i| {
-        build_shard(catalog, &partitions[i], seed)
+        build_shard(catalog, &partitions[i], seed, priors)
     })
 }
 
@@ -1199,7 +1234,12 @@ fn build_shards(
 /// component's peers (ascending global id) and live mappings (ascending global
 /// mapping id), which makes shard-local enumeration order-isomorphic to the global
 /// one restricted to the component.
-fn build_shard(catalog: &Catalog, peers: &[PeerId], seed: &ShardSeed) -> Shard {
+fn build_shard(
+    catalog: &Catalog,
+    peers: &[PeerId],
+    seed: &ShardSeed,
+    priors: &PriorStore,
+) -> Shard {
     let mut sub = build_sub_peers(catalog, peers);
     let mut to_global_mapping = Vec::new();
     let mut to_local_mapping = BTreeMap::new();
@@ -1213,7 +1253,7 @@ fn build_shard(catalog: &Catalog, peers: &[PeerId], seed: &ShardSeed) -> Shard {
         to_global_mapping.push(mapping);
         to_local_mapping.insert(mapping, local);
     }
-    let priors = remap_priors(seed, &to_local_mapping);
+    let priors = project_priors(priors, &to_local_mapping);
     let session = EngineBuilder::new()
         .analysis(seed.analysis.clone())
         .granularity(seed.granularity)
@@ -1257,6 +1297,7 @@ fn splice_shard(
     new_mappings: &[MappingId],
     edited: &[MappingId],
     seed: &ShardSeed,
+    priors: &PriorStore,
 ) -> (Shard, usize) {
     let new_set: BTreeSet<MappingId> = new_mappings.iter().copied().collect();
     let mut sub = build_sub_peers(catalog, peers);
@@ -1328,7 +1369,7 @@ fn splice_shard(
             );
         }
     }
-    let priors = remap_priors(seed, &to_local_mapping);
+    let priors = project_priors(priors, &to_local_mapping);
     let session = EngineSession::from_spliced_parts(
         seed.analysis.clone(),
         seed.granularity,

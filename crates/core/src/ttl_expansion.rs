@@ -5,13 +5,14 @@
 //! low TTL, gradually raise the TTL, monitor how much the newly discovered cycles move
 //! the posteriors, and stop as soon as the change becomes insignificant — at that point
 //! the most pertinent cycles have been found. This module implements that strategy by
-//! building one cold [`EngineSession`] per probed TTL and reports the whole
+//! building one cold [`ShardedSession`] per probed TTL and reports the whole
 //! trajectory so the trade-off can be inspected (and benchmarked — see the
 //! `ttl_expansion` harness).
 
 use crate::cycle_analysis::AnalysisConfig;
 use crate::priors::PriorStore;
-use crate::session::{EngineBuilder, EngineSession};
+use crate::session::EngineBuilder;
+use crate::sharding::ShardedSession;
 use pdms_schema::Catalog;
 
 /// Configuration of the expansion process.
@@ -61,7 +62,7 @@ pub struct TtlExpansionStep {
 }
 
 /// The full expansion trajectory.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TtlExpansionReport {
     /// One entry per TTL probed, in increasing TTL order.
     pub steps: Vec<TtlExpansionStep>,
@@ -71,7 +72,7 @@ pub struct TtlExpansionReport {
     /// `max_ttl`).
     pub converged: bool,
     /// The session of the final step (posteriors at the chosen TTL).
-    pub final_report: EngineSession,
+    pub final_report: ShardedSession,
 }
 
 impl TtlExpansionReport {
@@ -104,7 +105,7 @@ pub fn expand_ttl_with_priors(
     assert!(config.patience >= 1, "patience must be at least 1");
 
     let mut steps: Vec<TtlExpansionStep> = Vec::new();
-    let mut previous: Option<EngineSession> = None;
+    let mut previous: Option<ShardedSession> = None;
     let mut quiet_steps = 0usize;
     let mut converged = false;
     let mut chosen_ttl = config.start_ttl;
@@ -120,14 +121,14 @@ pub fn expand_ttl_with_priors(
             .clone()
             .analysis(analysis)
             .priors(priors.clone())
-            .build(catalog.clone());
+            .build_sharded(catalog.clone());
         let change = previous
             .as_ref()
             .map(|prev| prev.posteriors().max_fine_change(session.posteriors()));
         steps.push(TtlExpansionStep {
             ttl,
-            evidence_count: session.analysis().evidences.len(),
-            variable_count: session.model().variable_count(),
+            evidence_count: session.evidence_count(),
+            variable_count: session.variable_count(),
             max_posterior_change: change,
             rounds: session.rounds(),
         });
@@ -290,7 +291,7 @@ mod tests {
         });
         let report = expand_ttl(&cat, &TtlExpansionConfig::default());
         assert!(report.converged);
-        assert_eq!(report.final_report.model().variable_count(), 0);
+        assert_eq!(report.final_report.variable_count(), 0);
     }
 
     #[test]

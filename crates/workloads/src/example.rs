@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn engine_on_the_intro_network_flags_only_m24() {
         let (catalog, m) = intro_network();
-        let session = Engine::builder().build(catalog);
+        let session = Engine::builder().build_sharded(catalog);
         let p = session
             .posteriors()
             .probability_ignoring_bottom(m.m24, CREATOR);

@@ -269,10 +269,6 @@ pub fn merge_heavy_churn(
             max_path_len: 3,
             ..Default::default()
         })
-        .embedded(EmbeddedConfig {
-            record_history: false,
-            ..Default::default()
-        })
         .delta(0.1)
         .build_sharded(network.catalog.clone());
     let mut generator = ChurnGenerator::new(ChurnConfig {
@@ -533,10 +529,9 @@ pub fn figure12_precision(thetas: &[f64]) -> ScenarioResult {
         })
         .embedded(EmbeddedConfig {
             max_rounds: 30,
-            record_history: false,
             ..Default::default()
         })
-        .build(suite.catalog.clone());
+        .build_sharded(suite.catalog.clone());
     let mut result = ScenarioResult::new("figure-12-precision");
     let mut precision_points = Vec::new();
     let mut recall_points = Vec::new();
@@ -576,7 +571,10 @@ pub fn intro_example() -> ScenarioResult {
     ] {
         priors.set_initial(key, 0.5);
     }
-    let mut session = Engine::builder().delta(0.1).priors(priors).build(catalog);
+    let mut session = Engine::builder()
+        .delta(0.1)
+        .priors(priors)
+        .build_sharded(catalog);
     session.update_priors();
     let mut result = ScenarioResult::new("intro-example");
     let p23 = session
@@ -626,7 +624,7 @@ pub fn baseline_comparison() -> ScenarioResult {
         ("cycle-voting", Engine::builder().backend(VotingBackend)),
     ] {
         let (catalog, mappings) = intro_network();
-        let session = builder.delta(0.1).build(catalog);
+        let session = builder.delta(0.1).build_sharded(catalog);
         let eval = session.evaluate(0.55);
         result.note(format!("{label}: flagged"), eval.flagged());
         result.note(format!("{label}: true positives"), eval.true_positives);

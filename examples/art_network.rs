@@ -65,7 +65,7 @@ fn main() {
         },
         0.5,
     );
-    let mut session = Engine::builder().priors(priors).build(catalog);
+    let mut session = Engine::builder().priors(priors).build_sharded(catalog);
     session.update_priors();
     let updated = session.priors().prior(&VariableKey {
         mapping: mappings.m24,

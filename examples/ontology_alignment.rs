@@ -35,15 +35,19 @@ fn main() {
         })
         .embedded(EmbeddedConfig {
             max_rounds: 30,
-            record_history: false,
             ..Default::default()
         })
-        .build(suite.catalog.clone());
+        .build_sharded(suite.catalog.clone());
+    let feedback_factors: usize = session
+        .shards()
+        .iter()
+        .map(|shard| shard.session().model().evidence_count())
+        .sum();
     println!(
         "\nanalysis: {} evidence paths, model: {} variables, {} feedback factors, {} rounds",
-        session.analysis().evidences.len(),
-        session.model().variable_count(),
-        session.model().evidence_count(),
+        session.evidence_count(),
+        session.variable_count(),
+        feedback_factors,
         session.rounds(),
     );
 

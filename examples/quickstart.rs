@@ -54,14 +54,15 @@ fn main() {
         m
     });
 
-    // 2. Build an engine session. The builder chooses the paper's defaults (fine
+    // 2. Build a session. The builder chooses the paper's defaults (fine
     //    granularity, embedded message passing, Δ estimated from the schema sizes);
     //    `.backend(..)` would swap in exact inference or a custom implementation of
-    //    the `InferenceBackend` trait. Building runs the full pipeline once: cycle and
-    //    parallel-path discovery, factor-graph construction, and message passing.
+    //    the `InferenceBackend` trait. Building runs the full pipeline once per
+    //    weakly connected component (this network is one): cycle and parallel-path
+    //    discovery, factor-graph construction, and message passing.
     let mut session = Engine::builder()
         .granularity(Granularity::Fine)
-        .build(catalog);
+        .build_sharded(catalog);
     println!(
         "backend `{}` converged after {} rounds (delta = {:.2})\n",
         session.backend_name(),
@@ -88,12 +89,11 @@ fn main() {
 
     // 3. Pose the introductory query at p2 ("names of all artists having created a
     //    piece of work related to some river") and let the cached posteriors steer
-    //    routing. `route_all` answers a whole workload against one posterior
-    //    snapshot — no per-query recomputation.
+    //    routing — no per-query recomputation.
     let query = Query::new()
         .project(creator)
         .select(item, Predicate::Contains("river".into()));
-    let outcome = &session.route_all(&[(peers[1], query)], &RoutingPolicy::uniform(0.5))[0];
+    let outcome = session.route(peers[1], &query, &RoutingPolicy::uniform(0.5));
     println!("\nquery routed from p2:");
     println!("  peers reached:        {}", outcome.reached.len());
     println!("  false-positive peers: {}", outcome.tainted.len());
@@ -112,10 +112,10 @@ fn main() {
     }
 
     // 4. The network evolves: p2's administrator repairs m24. The session applies the
-    //    delta incrementally — only the evidence paths through m24 are re-observed,
-    //    everything else is reused, and message passing restarts warm from the
-    //    previous posteriors.
-    let report = session.apply(&[NetworkEvent::Repair {
+    //    delta incrementally — only the shard holding m24 runs, only the evidence
+    //    paths through m24 are re-observed, and message passing restarts warm from
+    //    the previous posteriors.
+    let report = session.apply_batch(&[NetworkEvent::Repair {
         mapping: pdms::schema::MappingId(4),
         attribute: creator,
     }]);
@@ -124,9 +124,11 @@ fn main() {
             .posteriors()
             .probability(session.catalog(), pdms::schema::MappingId(4), creator);
     println!(
-        "\nafter repairing m24: {} evidence paths re-observed, {} reused, \
-         {} warm rounds; P(m24 preserves Creator) = {p_repaired:.3}",
-        report.analysis.evidences_reobserved, report.analysis.evidences_reused, report.rounds,
+        "\nafter repairing m24: {} of {} shards touched, {} warm rounds; \
+         P(m24 preserves Creator) = {p_repaired:.3}",
+        report.shards_touched,
+        session.shard_count(),
+        report.rounds,
     );
 
     // 5. At scale, evidence discovery parallelizes. Realistic PDMS topologies are
@@ -142,11 +144,11 @@ fn main() {
             steal_granularity: 0,      // auto: one first-hop edge per stolen subtask
             ..Default::default()
         })
-        .build(hub_network.catalog);
+        .build_sharded(hub_network.catalog);
     println!(
         "\nhub-heavy network (32 peers, scale-free): {} evidence paths, {} rounds \
          — same ids at any worker count",
-        hub_session.analysis().evidences.len(),
+        hub_session.evidence_count(),
         hub_session.rounds(),
     );
 }

@@ -110,11 +110,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Run the message-passing engine over the imported catalog and report how well
     //    it spots the faulty correspondences, exactly like Figure 12.
-    let session = Engine::builder().build(import.catalog);
+    let session = Engine::builder().build_sharded(import.catalog);
     println!(
         "\ninference: {} evidence paths, {} variables, {} rounds (converged: {})",
-        session.analysis().evidences.len(),
-        session.model().variable_count(),
+        session.evidence_count(),
+        session.variable_count(),
         session.rounds(),
         session.converged()
     );

@@ -69,7 +69,7 @@ fn main() {
     );
 
     // Show what the chosen TTL buys: detection quality against the injected errors.
-    let full = pdms::core::Engine::builder().build(network.catalog.clone());
+    let full = pdms::core::Engine::builder().build_sharded(network.catalog.clone());
     let eval_full = full.evaluate(0.5);
     println!(
         "detection at the default analysis bounds: {} flagged, precision {:.2}, recall {:.2}",

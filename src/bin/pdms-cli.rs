@@ -9,12 +9,12 @@
 //! pdms-cli generate --out ./workload [--seed 2006]      write OWL + alignment files
 //! pdms-cli assess   --dir ./workload [--theta 0.5]      import the files, run inference
 //! pdms-cli intro                                        the worked example of Section 4.5
-//! pdms-cli churn    [--peers 16] [--epochs 8]           incremental session vs. recompute
+//! pdms-cli churn    [--peers 16] [--epochs 8]           shard maintenance under churn
 //! ```
 //!
 //! Run via `cargo run --bin pdms-cli -- <command> [options]`.
 
-use pdms::core::{Engine, EngineBuilder, RoutingPolicy};
+use pdms::core::{Engine, RoutingPolicy};
 use pdms::rdf::{export_catalog, import_catalog, parse_alignment, parse_ontology};
 use pdms::schema::{AttributeId, Predicate, Query};
 use pdms::workloads::{
@@ -80,12 +80,12 @@ USAGE:
                  [--topology small-world|scale-free|hub-heavy|erdos-renyi|ring|islands]
                  [--islands <n>] [--hub-exponent <a>] [--parallelism <n>]
                  [--steal-granularity <n>] [--heavy-threshold <n>]
-                 [--sharded] [--batch-size <n>] [--shard-parallelism <n>]
-                 [--merge-rate <p>]
-      Generate a synthetic network and drive an incremental engine session through
-      epochs of churn (corruptions, repairs, new mappings), printing per epoch how
-      much evidence was reused versus invalidated and how many warm-started
-      inference rounds were needed, compared against a full from-scratch recompute.
+                 [--batch-size <n>] [--shard-parallelism <n>] [--merge-rate <p>]
+      Generate a synthetic network and drive a session (one incremental engine per
+      weakly connected component) through epochs of churn (corruptions, repairs,
+      new mappings), printing per-epoch shard maintenance: touched, spliced and
+      rebuilt shards, merges, splits, bridge evidence, inference rounds, shards
+      left unconverged and dispatch timing.
       `--topology hub-heavy` selects the scale-free network with super-linear
       preferential attachment (exponent --hub-exponent, default 1.6) whose hub
       peers the work-stealing enumeration splits into stolen subtasks;
@@ -93,21 +93,13 @@ USAGE:
       --peers nodes each (a multi-component network, one shard per island).
       --parallelism / --steal-granularity / --heavy-threshold expose the
       scheduling knobs (0 = auto: every available core, the built-in hub-splitting
-      defaults).
-      --sharded switches to the component-sharded engine: one session per weakly
-      connected component, batched event ingestion (--batch-size, 0 = one batch
-      per epoch) and parallel shard dispatch (--shard-parallelism, 0 = every
-      available core). Posteriors are identical to the single-session engine; the
-      table shows per-epoch shard maintenance (spliced/rebuilt shards, bridge
-      evidence, shards left unconverged, dispatch timing) instead of evidence
-      reuse.
+      defaults). Events are ingested in batches of --batch-size (0 = one batch per
+      epoch) and shards dispatched over --shard-parallelism workers (0 = every
+      available core).
       --merge-rate is the probability that a churn epoch adds an island-bridging
       mapping (a component merge, the event the warm splice path exists for;
       default 0).
 ";
-
-/// Options that are boolean flags (present or absent, no value).
-const FLAGS: &[&str] = &["sharded"];
 
 #[derive(Debug, Default)]
 struct Options {
@@ -117,10 +109,6 @@ struct Options {
 impl Options {
     fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.values.contains_key(key)
     }
 
     fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
@@ -142,10 +130,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 "unexpected argument `{arg}` (options start with --)"
             ));
         };
-        if FLAGS.contains(&key) {
-            options.values.insert(key.to_string(), "true".to_string());
-            continue;
-        }
         let value = iter
             .next()
             .ok_or_else(|| format!("option --{key} needs a value"))?;
@@ -239,12 +223,12 @@ fn assess(options: &Options) -> Result<(), String> {
             max_path_len: max_cycle_len.saturating_sub(1).max(1),
             ..Default::default()
         })
-        .build(import.catalog);
+        .build_sharded(import.catalog);
     let catalog = session.catalog();
     println!(
         "analysis: {} evidence paths, {} variables, {} rounds (converged: {})",
-        session.analysis().evidences.len(),
-        session.model().variable_count(),
+        session.evidence_count(),
+        session.variable_count(),
         session.rounds(),
         session.converged()
     );
@@ -295,7 +279,7 @@ fn assess(options: &Options) -> Result<(), String> {
 fn intro(options: &Options) -> Result<(), String> {
     let theta: f64 = options.parsed("theta", 0.5)?;
     let (catalog, mappings) = intro_network();
-    let session = Engine::builder().build(catalog);
+    let session = Engine::builder().build_sharded(catalog);
     let catalog = session.catalog();
     println!("worked example of Section 4.5 (four art databases, five mappings)");
     println!(
@@ -340,7 +324,6 @@ fn churn(options: &Options) -> Result<(), String> {
     let parallelism: usize = options.parsed("parallelism", 0)?;
     let steal_granularity: usize = options.parsed("steal-granularity", 0)?;
     let heavy_threshold: usize = options.parsed("heavy-threshold", 0)?;
-    let sharded = options.flag("sharded");
     let batch_size: usize = options.parsed("batch-size", 0)?;
     let shard_parallelism: usize = options.parsed("shard-parallelism", 0)?;
     let merge_rate: f64 = options.parsed("merge-rate", 0.0)?;
@@ -379,79 +362,10 @@ fn churn(options: &Options) -> Result<(), String> {
         batch_size,
         splice: None,
     };
-    let builder = Engine::builder()
+    let mut session = Engine::builder()
         .analysis(analysis_config)
-        .embedded(pdms::core::EmbeddedConfig {
-            record_history: false,
-            ..Default::default()
-        })
-        .delta(0.1);
-    if sharded {
-        return churn_sharded(epochs, seed, merge_rate, topology_name, network, builder);
-    }
-    let mut session = builder.build(network.catalog.clone());
-    println!(
-        "synthetic {} network: {} peers, {} mappings, {} evidence paths; cold build took {} rounds",
-        topology_name,
-        session.catalog().peer_count(),
-        session.catalog().mapping_count(),
-        session.analysis().evidences.len(),
-        session.rounds(),
-    );
-
-    let mut generator = ChurnGenerator::new(ChurnConfig {
-        seed,
-        merge_rate,
-        ..Default::default()
-    });
-    println!(
-        "{:>5} {:>7} {:>8} {:>8} {:>8} {:>8} {:>11} {:>11}",
-        "epoch", "events", "reused", "reobs", "added", "removed", "warm-rounds", "cold-rounds"
-    );
-    for epoch in 0..epochs {
-        let events = generator.epoch_events(session.catalog());
-        let report = session.apply(&events);
-
-        // The cost the incremental path avoids: a full from-scratch run.
-        let mut cold = session.clone();
-        cold.rebuild_from_scratch();
-        println!(
-            "{epoch:>5} {:>7} {:>8} {:>8} {:>8} {:>8} {:>11} {:>11}",
-            report.events_applied,
-            report.analysis.evidences_reused,
-            report.analysis.evidences_reobserved,
-            report.analysis.evidences_added,
-            report.analysis.evidences_removed,
-            report.rounds,
-            cold.rounds(),
-        );
-    }
-    let stats = session.stats();
-    println!(
-        "\nsession totals: {} full build, {} incremental applies, {} evidence paths added, \
-         {} removed, {} re-observed",
-        stats.full_builds,
-        stats.incremental_applies,
-        stats.evidences_added,
-        stats.evidences_removed,
-        stats.evidences_reobserved,
-    );
-    Ok(())
-}
-
-/// The `churn --sharded` path: drives a component-sharded session through the same
-/// epochs, printing per-epoch shard maintenance (touched / spliced / rebuilt
-/// shards, merges, splits, bridge evidence, per-shard dispatch timing) instead of
-/// per-evidence accounting.
-fn churn_sharded(
-    epochs: usize,
-    seed: u64,
-    merge_rate: f64,
-    topology_name: &str,
-    network: SyntheticNetwork,
-    builder: EngineBuilder,
-) -> Result<(), String> {
-    let mut session = builder.build_sharded(network.catalog.clone());
+        .delta(0.1)
+        .build_sharded(network.catalog.clone());
     println!(
         "synthetic {} network: {} peers, {} mappings, {} evidence paths across {} shards",
         topology_name,

@@ -13,9 +13,15 @@
 //! ## The session API
 //!
 //! The paper's pitch is *incremental* assessment riding on normal traffic, and the
-//! public API mirrors that. An [`core::EngineSession`] is built once, then kept
-//! up to date with [`core::NetworkEvent`] deltas; only the evidence touching the
-//! changed mappings is recomputed, and iterative inference restarts warm:
+//! public API mirrors that. `Engine::builder()…build_sharded(catalog)` returns the
+//! one serving session, a [`core::ShardedSession`]: the catalog is partitioned into
+//! its weakly connected components — evidence never crosses a component boundary,
+//! so the partition is exact, and a connected catalog is one shard — with one
+//! incremental engine per component. The session is built once, then kept up to
+//! date with [`core::NetworkEvent`] deltas through
+//! [`core::ShardedSession::apply_batch`]: add/remove pairs coalesce, only the
+//! evidence touching the changed mappings is recomputed, one warm-started
+//! inference pass runs per touched shard, and shards are dispatched in parallel:
 //!
 //! ```no_run
 //! use pdms::core::{Engine, Granularity, NetworkEvent, RoutingPolicy};
@@ -26,26 +32,22 @@
 //! let mut session = Engine::builder()
 //!     .granularity(Granularity::Fine)
 //!     .delta(0.1)
-//!     .build(catalog);
+//!     .build_sharded(catalog);
 //!
-//! session.apply(&events);                 // network churn: incremental update
-//! session.route_all(&queries, &RoutingPolicy::uniform(0.5)); // batch routing
+//! session.apply_batch(&events);           // network churn: incremental update
+//! for (origin, query) in &queries {       // routing against the cached posteriors
+//!     session.route(*origin, query, &RoutingPolicy::uniform(0.5));
+//! }
 //! session.update_priors();                // Section 4.4 evidence accumulation
 //! ```
 //!
 //! Inference is pluggable through the [`core::InferenceBackend`] trait
 //! (embedded message passing, centralized exact, cycle voting, or your own); a
 //! one-shot experiment is a build followed by reads of the session.
-//! `MIGRATION.md` at the workspace root maps the removed one-shot engine API onto
-//! the builder.
-//!
-//! At federation scale, `Engine::builder()…build_sharded(catalog)` returns a
-//! [`core::ShardedSession`]: the catalog is partitioned into its weakly connected
-//! components — evidence never crosses a component boundary, so the partition is
-//! exact — with one incremental session per component,
-//! [`core::ShardedSession::apply_batch`] batched ingestion (add/remove pairs
-//! coalesce, one inference pass per touched shard), and parallel shard dispatch.
-//! See `docs/SHARDING.md`.
+//! `MIGRATION.md` at the workspace root maps removed API onto its replacement.
+//! [`core::EngineSession`], the engine each shard runs, stays public as the
+//! whole-catalog reference the sharded session is tested against. See
+//! `docs/SHARDING.md`.
 //!
 //! ## Crate map
 //!

@@ -12,7 +12,7 @@ use pdms::workloads::{
 #[test]
 fn intro_network_end_to_end() {
     let (catalog, mappings) = intro_network();
-    let session = Engine::builder().build(catalog);
+    let session = Engine::builder().build_sharded(catalog);
     assert!(session.converged());
 
     // Classification: only m24/Creator is below 0.5.
@@ -61,7 +61,7 @@ fn synthetic_network_detection_beats_random_guessing() {
             include_parallel_paths: true,
             ..Default::default()
         })
-        .build(network.catalog.clone());
+        .build_sharded(network.catalog.clone());
     let eval = session.evaluate(0.5);
     // Random guessing at θ = 0.5 would have precision ≈ the error rate; the engine
     // should do clearly better while finding a useful share of the errors.
@@ -85,7 +85,7 @@ fn ontology_alignment_scenario_runs_and_detects_errors() {
             include_parallel_paths: true,
             ..Default::default()
         })
-        .build(suite.catalog.clone());
+        .build_sharded(suite.catalog.clone());
     let eval = session.evaluate(0.4);
     assert!(
         eval.precision() > suite.error_rate(),
@@ -102,7 +102,7 @@ fn inference_backends_are_interchangeable() {
     // pipeline; all of them must at least flag the faulty mapping of the example.
     for builder in [Engine::builder(), Engine::builder().backend(VotingBackend)] {
         let (catalog, mappings) = intro_network();
-        let session = builder.delta(0.1).build(catalog);
+        let session = builder.delta(0.1).build_sharded(catalog);
         let p = session
             .posteriors()
             .probability_ignoring_bottom(mappings.m24, CREATOR);
@@ -113,7 +113,7 @@ fn inference_backends_are_interchangeable() {
 #[test]
 fn bottom_rule_zeroes_unmapped_attributes_across_the_stack() {
     let (catalog, mappings) = intro_network();
-    let session = Engine::builder().build(catalog);
+    let session = Engine::builder().build_sharded(catalog);
     // Attribute 99 does not exist in any mapping: the posterior table returns 0 via the
     // ⊥ rule, so a query touching it is never forwarded.
     let p = session

@@ -48,8 +48,8 @@ fn exported_and_reimported_catalog_reaches_the_same_verdicts() {
     // Same inference input ⇒ same posteriors, whether the catalog came from the
     // generator or went through the OWL/alignment files (ground truth is not part of
     // the inference input, so the unjudged import is fine here).
-    let original = builder().build(suite.catalog.clone());
-    let reimported = builder().build(import.catalog.clone());
+    let original = builder().build_sharded(suite.catalog.clone());
+    let reimported = builder().build_sharded(import.catalog.clone());
     for (mapping, attribute, p) in original.posteriors().fine_entries() {
         let q = reimported
             .posteriors()
@@ -121,7 +121,7 @@ fn oracle_judged_import_supports_precision_evaluation() {
 
     // And the engine's evaluation on the imported catalog behaves like Figure 12: at a
     // low threshold most flagged correspondences are genuinely erroneous.
-    let session = builder().build(import.catalog);
+    let session = builder().build_sharded(import.catalog);
     let eval = session.evaluate(0.3);
     assert!(
         eval.flagged() > 0,

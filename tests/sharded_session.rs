@@ -18,8 +18,9 @@
 //! end-of-churn rebuild check closes the loop at full bit identity again.
 
 use pdms::core::{
-    AnalysisConfig, EmbeddedConfig, Engine, EngineSession, NetworkEvent, RoutingPolicy,
-    ShardedSession,
+    precision_recall, route_query, AnalysisConfig, EmbeddedConfig, Engine, EngineSession,
+    NetworkEvent, PosteriorTable, PriorStore, RoutingOutcome, RoutingPolicy, ShardedSession,
+    VariableKey,
 };
 use pdms::graph::GeneratorConfig;
 use pdms::schema::{AttributeId, Catalog, MappingId, PeerId, Predicate, Query};
@@ -36,7 +37,7 @@ fn fixed_rounds() -> EmbeddedConfig {
         tolerance: 0.0,
         send_probability: 1.0,
         seed: 11,
-        record_history: false,
+        ..Default::default()
     }
 }
 
@@ -686,16 +687,22 @@ fn routing_and_evaluation_match_the_single_session() {
         .map(|p| (p, query.clone()))
         .collect();
     let policy = RoutingPolicy::uniform(0.5);
-    let a = reference.route_all(&requests, &policy);
-    let b = shards.route_all(&requests, &policy);
+    let route_each = |catalog: &Catalog, posteriors: &PosteriorTable| -> Vec<RoutingOutcome> {
+        requests
+            .iter()
+            .map(|(origin, query)| route_query(catalog, posteriors, *origin, query, &policy))
+            .collect()
+    };
+    let a = route_each(reference.catalog(), reference.posteriors());
+    let b = route_each(shards.catalog(), shards.posteriors());
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.reached, y.reached);
         assert_eq!(x.tainted, y.tainted);
         assert_eq!(x.forwarded_mappings(), y.forwarded_mappings());
     }
-    let ea = reference.evaluate(0.5);
-    let eb = shards.evaluate(0.5);
+    let ea = precision_recall(reference.catalog(), reference.posteriors(), 0.5);
+    let eb = precision_recall(shards.catalog(), shards.posteriors(), 0.5);
     assert_eq!(ea.true_positives, eb.true_positives);
     assert_eq!(ea.false_positives, eb.false_positives);
     assert_eq!(ea.flagged(), eb.flagged());
@@ -822,4 +829,167 @@ fn batch_report_counts_unconverged_shards() {
     let report = converging.apply_batch(&corrupt);
     assert_eq!(report.shards_touched, 1);
     assert_eq!(report.unconverged_shards, 0);
+}
+
+/// Two three-peer islands of three-attribute peers, each a ring plus a reverse
+/// chord; island A's first mapping `m0` sends attribute 0 to attribute 1. With
+/// `bridged`, the catalog also holds the bridge `a0 ⇄ b0` as `m8` and `m9`.
+fn two_islands(bridged: bool) -> Catalog {
+    let mut catalog = Catalog::new();
+    let peers: Vec<PeerId> = ["a0", "a1", "a2", "b0", "b1", "b2"]
+        .iter()
+        .map(|name| {
+            catalog.add_peer_with_schema(*name, |s| {
+                s.attributes(["x", "y", "z"]);
+            })
+        })
+        .collect();
+    for island in [0, 3] {
+        let [p0, p1, p2] = [peers[island], peers[island + 1], peers[island + 2]];
+        for (source, target) in [(p0, p1), (p1, p2), (p2, p0), (p2, p1)] {
+            let faulty = island == 0 && source == p0;
+            catalog.add_mapping(source, target, |mut m| {
+                for a in 0..3 {
+                    m = match faulty && a == 0 {
+                        true => m.erroneous(AttributeId(0), AttributeId(1), AttributeId(0)),
+                        false => m.correct(AttributeId(a), AttributeId(a)),
+                    };
+                }
+                m
+            });
+        }
+    }
+    if bridged {
+        for event in bridge_events() {
+            pdms::core::apply_event(&mut catalog, &event);
+        }
+    }
+    catalog
+}
+
+/// A new mapping that preserves all three attributes.
+fn identity_link(source: usize, target: usize) -> NetworkEvent {
+    NetworkEvent::AddMapping {
+        source: PeerId(source),
+        target: PeerId(target),
+        correspondences: (0..3)
+            .map(|a| (AttributeId(a), AttributeId(a), Some(AttributeId(a))))
+            .collect(),
+    }
+}
+
+/// The bridge `a0 ⇄ b0` that joins the two islands of [`two_islands`].
+fn bridge_events() -> Vec<NetworkEvent> {
+    vec![identity_link(0, 3), identity_link(3, 0)]
+}
+
+/// The Section 4.4 prior update of a whole-catalog session, from its public state:
+/// its priors with the posterior of every model variable folded in.
+fn folded(single: &EngineSession) -> PriorStore {
+    let mut priors = single.priors().clone();
+    priors.update_all(&single.posteriors().as_variable_map(single.model()));
+    priors
+}
+
+/// Asserts two prior stores hold the same keys, the same prior bits and the same
+/// observation counts.
+fn assert_priors_equal(actual: &PriorStore, expected: &PriorStore, context: &str) {
+    let entries = |store: &PriorStore| -> Vec<_> {
+        store
+            .snapshot()
+            .into_iter()
+            .map(|(key, p)| (key, p.to_bits(), store.observation_count(&key)))
+            .collect()
+    };
+    assert_eq!(
+        entries(actual),
+        entries(expected),
+        "{context}: prior stores diverged"
+    );
+}
+
+#[test]
+fn update_priors_matches_the_single_session_through_merges_splits_and_rebuilds() {
+    let with_priors = |priors: &PriorStore| {
+        Engine::builder()
+            .analysis(analysis())
+            .embedded(fixed_rounds())
+            .delta(0.1)
+            .priors(priors.clone())
+    };
+    let key = VariableKey {
+        mapping: MappingId(0),
+        attribute: Some(AttributeId(0)),
+    };
+    let splitting: Vec<NetworkEvent> = [8, 9]
+        .map(|m| NetworkEvent::RemoveMapping {
+            mapping: MappingId(m),
+        })
+        .to_vec();
+    // (a) a merge, (b) a split and (c) a cold rebuild after the update, each
+    // from the maximum-entropy store; (d) builder priors that already hold three
+    // observations of `key`; (e) a builder prior for the id an incremental
+    // addition inside island A will receive.
+    let mut seasoned = PriorStore::uninformed();
+    for p in [0.9, 0.6, 0.7] {
+        seasoned.update(key, p);
+    }
+    let mut ahead = PriorStore::uninformed();
+    ahead.set_initial(
+        VariableKey {
+            mapping: MappingId(8),
+            ..key
+        },
+        0.001,
+    );
+    for (case, bridged, events, builder_priors) in [
+        (
+            "merge",
+            false,
+            Some(bridge_events()),
+            PriorStore::uninformed(),
+        ),
+        ("split", true, Some(splitting), PriorStore::uninformed()),
+        ("rebuild", false, None, PriorStore::uninformed()),
+        ("seasoned builder priors", false, None, seasoned),
+        (
+            "prior ahead of an addition",
+            false,
+            Some(vec![identity_link(1, 0)]),
+            ahead,
+        ),
+    ] {
+        let catalog = two_islands(bridged);
+        let mut shards = with_priors(&builder_priors).build_sharded(catalog.clone());
+        assert_eq!(shards.shard_count(), if bridged { 1 } else { 2 }, "{case}");
+        shards.update_priors();
+        let updated = folded(&with_priors(&builder_priors).build(catalog.clone()));
+        assert_priors_equal(shards.priors(), &updated, case);
+        assert_eq!(
+            shards.priors().observation_count(&key),
+            builder_priors.observation_count(&key) + 1,
+            "{case}"
+        );
+        // The whole-catalog reference carries the updated store from here on.
+        let mut reference = with_priors(&updated).build(catalog);
+        match events {
+            Some(events) => {
+                reference.apply(&events);
+                let report = shards.apply_batch(&events);
+                // One structural change, or one incremental shard apply.
+                assert_eq!(
+                    report.merges + report.splits + report.shards_touched,
+                    1,
+                    "{case}"
+                );
+                assert_eq!(report.shards_rebuilt, 0, "{case}: donors splice warm");
+                assert_posteriors_within_ulps(&reference, &shards, 32, case);
+            }
+            None => {
+                shards.rebuild_from_scratch();
+                assert_posteriors_bit_identical(&reference, &shards, case);
+            }
+        }
+        assert_priors_equal(shards.priors(), reference.priors(), case);
+    }
 }

@@ -31,7 +31,7 @@ fn fixed_rounds() -> EmbeddedConfig {
         tolerance: 0.0,
         send_probability: 1.0,
         seed: 11,
-        record_history: false,
+        ..Default::default()
     }
 }
 
@@ -420,7 +420,7 @@ fn random_structural_churn_stays_inside_the_warm_ulp_envelope() {
 fn spliced_shards_keep_serving_priors_and_incremental_applies() {
     // After a splice the merged shard is a first-class incremental session:
     // correspondence churn must keep flowing through the cheap Apply path, and
-    // prior lookups must resolve through the remapped tables.
+    // prior lookups must resolve through the session's global prior store.
     let catalog = islands_network(29);
     let mut session = sharded(catalog);
     let first_peers: Vec<PeerId> = session.shards().iter().map(|s| s.peers()[0]).collect();
@@ -441,7 +441,7 @@ fn spliced_shards_keep_serving_priors_and_incremental_applies() {
         mapping: MappingId(0),
         attribute: Some(AttributeId(0)),
     };
-    assert!((0.0..=1.0).contains(&session.prior(&key)));
+    assert!((0.0..=1.0).contains(&session.priors().prior(&key)));
     assert!(
         session
             .posteriors()
